@@ -42,7 +42,6 @@ type engineFlags struct {
 	source                              uint
 	threads                             int
 	shards                              int
-	adaptive                            bool
 }
 
 func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
@@ -55,7 +54,6 @@ func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
 	fs.UintVar(&ef.source, "source", 0, "source vertex for sssp/bfs/php")
 	fs.IntVar(&ef.threads, "threads", 0, "worker threads (0 = GOMAXPROCS)")
 	fs.IntVar(&ef.shards, "shards", 0, "community-aware shard count (0 = unsharded; >1 overrides -system)")
-	fs.BoolVar(&ef.adaptive, "adaptive", false, "adaptive community migration: split/merge subgraphs incrementally on every update (requires -system layph, unsharded)")
 	return ef
 }
 
@@ -84,19 +82,7 @@ func (ef *engineFlags) loadGraph() *graph.Graph {
 func (ef *engineFlags) buildOn(g *graph.Graph) (inc.System, *core.Layph) {
 	mk := makeAlgo(ef.algoName, graph.VertexID(ef.source))
 	if ef.shards > 1 {
-		if ef.adaptive {
-			fmt.Fprintln(os.Stderr, "-adaptive is not supported with -shards")
-			os.Exit(2)
-		}
 		return shard.New(g, mk(), shard.Options{Shards: ef.shards, Threads: ef.threads}), nil
-	}
-	if ef.adaptive {
-		if bench.SystemKind(ef.system) != bench.Layph {
-			fmt.Fprintln(os.Stderr, "-adaptive requires -system layph")
-			os.Exit(2)
-		}
-		l := core.New(g, mk(), core.Options{Workers: ef.threads, AdaptiveCommunities: true})
-		return l, l
 	}
 	return bench.Build(bench.SystemKind(ef.system), g, mk, ef.threads)
 }

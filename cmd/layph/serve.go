@@ -49,10 +49,9 @@ func serveMain(args []string) {
 		maxVertex = fs.Uint("maxvertex", 0, "reject updates referencing vertex ids >= this (0 = |V| + 1048576)")
 		listen    = fs.String("listen", "", "serve the HTTP API on this address (e.g. 127.0.0.1:8090) until SIGINT")
 
-		relayer        = fs.Bool("relayer", false, "adaptive re-layering drift controller: background full re-layer + atomic swap when layering quality decays (pairs with -adaptive)")
+		relayer        = fs.Bool("relayer", false, "re-layering drift controller: background full re-layer + atomic swap when layering quality decays")
 		relayerTouched = fs.Float64("relayer-touched", 0, "touched-subgraph-ratio EWMA trigger threshold (0 = 0.35)")
 		relayerGrowth  = fs.Float64("relayer-skeleton-growth", 0, "skeleton-fraction growth factor over the post-build baseline that triggers (0 = 1.5)")
-		relayerDead    = fs.Float64("relayer-dead", 0, "dead community-id fraction that triggers (0 = 0.5)")
 		relayerMinB    = fs.Int("relayer-min-batches", 0, "cooldown: applied batches after a (re)build before triggers re-arm (0 = 16)")
 		relayerSwapLag = fs.Int("relayer-swap-lag", 0, "applied batches between trigger and the deterministic swap boundary (0 = 8)")
 
@@ -93,7 +92,6 @@ func serveMain(args []string) {
 			},
 			TouchedRatioThreshold: *relayerTouched,
 			SkeletonGrowthFactor:  *relayerGrowth,
-			DeadCommunityFraction: *relayerDead,
 			MinBatches:            *relayerMinB,
 			SwapLagBatches:        *relayerSwapLag,
 		}
@@ -288,9 +286,9 @@ func printFinal(s *stream.Stream, top int) {
 			len(gr.ShardInfos()), m.Engine.ShardRounds, m.Engine.BoundaryPins)
 	}
 	if rl := m.Relayer; rl.Enabled {
-		fmt.Printf("relayer totals: full-relayers=%d replayed-batches=%d touched-ewma=%.3f skeleton=%.3f/%.3f moves=%d last-trigger=%s\n",
+		fmt.Printf("relayer totals: full-relayers=%d replayed-batches=%d touched-ewma=%.3f skeleton=%.3f/%.3f last-trigger=%s\n",
 			rl.FullRelayers, rl.ReplayedBatches, rl.TouchedRatioEWMA,
-			rl.SkeletonFraction, rl.SkeletonBaseline, rl.MembershipMoves, rl.LastTrigger)
+			rl.SkeletonFraction, rl.SkeletonBaseline, rl.LastTrigger)
 	}
 	fmt.Printf("final snapshot: seq=%d updates=%d %s\n", snap.Seq, snap.Updates, sampleStates(snap.States, top))
 }

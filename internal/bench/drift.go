@@ -2,15 +2,15 @@ package bench
 
 // Drift scenario: a long community-migration churn stream (every batch
 // rewires a vertex cluster into a different community neighborhood) replayed
-// through three configurations of the same Layph engine — frozen layering,
-// incremental adaptive migration, and adaptive + the stream relayer (the
-// background full re-layer drift controller). The per-window trends show
-// the layering-drift bug and its fix: under a frozen layering the skeleton
-// fraction climbs monotonically toward 1.0 (every migrated vertex is
-// evicted to the skeleton and never re-absorbed) until the engine
-// degenerates into a flat unlayered one, while the relayer-backed pipeline
-// holds latency flat and repeatedly restores the skeleton to its fresh
-// compression at each atomic swap.
+// through two configurations of the same Layph engine — frozen layering
+// alone, and frozen layering behind the stream relayer (the background full
+// re-layer drift controller). The per-window trends show the layering-drift
+// bug and its fix: under a frozen layering the skeleton fraction climbs
+// monotonically toward 1.0 (every migrated vertex is evicted to the
+// skeleton and never re-absorbed) until the engine degenerates into a flat
+// unlayered one, while the relayer-backed pipeline holds latency flat and
+// repeatedly restores the skeleton to its fresh compression at each atomic
+// swap.
 
 import (
 	"encoding/json"
@@ -49,7 +49,6 @@ type DriftWindow struct {
 type DriftMode struct {
 	Mode               string        `json:"mode"`
 	TotalUpdateSeconds float64       `json:"total_update_seconds"`
-	MembershipMoves    int64         `json:"membership_moves,omitempty"`
 	FullRelayers       int64         `json:"full_relayers,omitempty"`
 	Windows            []DriftWindow `json:"windows"`
 }
@@ -90,7 +89,7 @@ func driftBatches(base *graph.Graph, total, migSize, migRewire, edgeChurn int, s
 	return out
 }
 
-// RunDrift measures the three configurations over the same churn stream.
+// RunDrift measures both configurations over the same churn stream.
 func RunDrift(o Options) DriftReport {
 	o = o.normalize()
 	vertices := int(16000 * o.Scale)
@@ -110,7 +109,7 @@ func RunDrift(o Options) DriftReport {
 
 	mkGraph := func() *graph.Graph {
 		g, _ := gen.CommunityGraph(gen.CommunityConfig{
-			Vertices:      vertices,
+			Vertices: vertices,
 			// Tight communities under the MaxSize=64 floor with a thin
 			// boundary: the skeleton compresses to ~25% of vertices, so
 			// layering drift (boundary eviction pushing that toward 100%)
@@ -146,12 +145,12 @@ func RunDrift(o Options) DriftReport {
 
 	winOf := func(b int) int { return b * windows / totalBatches }
 
-	// Direct-drive modes: frozen layering and incremental adaptive
-	// migration, per-batch stats straight from Update.
-	direct := func(mode string, adaptive bool) DriftMode {
+	// Direct-drive mode: frozen layering, per-batch stats straight from
+	// Update.
+	frozen := func() DriftMode {
 		g := mkGraph()
-		l := core.New(g, algo.NewSSSP(0), core.Options{Workers: o.Threads, AdaptiveCommunities: adaptive})
-		res := DriftMode{Mode: mode, Windows: make([]DriftWindow, windows)}
+		l := core.New(g, algo.NewSSSP(0), core.Options{Workers: o.Threads})
+		res := DriftMode{Mode: "frozen", Windows: make([]DriftWindow, windows)}
 		for i, b := range batches {
 			st := l.Update(delta.Apply(g, b))
 			w := &res.Windows[winOf(i)]
@@ -160,19 +159,18 @@ func RunDrift(o Options) DriftReport {
 			w.MeanTouchedRate += st.TouchedSubgraphRatio
 			w.SkeletonFraction = st.SkeletonFraction
 			res.TotalUpdateSeconds += st.Duration.Seconds()
-			res.MembershipMoves += st.MembershipMoves
 		}
 		finishDriftWindows(&res)
 		return res
 	}
 
-	// Stream-drive mode: adaptive engine behind the micro-batching pipeline
+	// Stream-drive mode: the same engine behind the micro-batching pipeline
 	// with the relayer; per-batch wall time includes replay and the
 	// deterministic swap boundary, which is what a serving deployment pays.
 	relayer := func() DriftMode {
 		g := mkGraph()
 		build := func(g2 *graph.Graph) inc.System {
-			return core.New(g2, algo.NewSSSP(0), core.Options{Workers: o.Threads, AdaptiveCommunities: true})
+			return core.New(g2, algo.NewSSSP(0), core.Options{Workers: o.Threads})
 		}
 		st := stream.New(g, build(g), stream.Config{
 			MaxBatch: 1 << 20, MaxDelay: -1,
@@ -188,7 +186,7 @@ func RunDrift(o Options) DriftReport {
 				SwapLagBatches:        4,
 			},
 		})
-		res := DriftMode{Mode: "adaptive+relayer", Windows: make([]DriftWindow, windows)}
+		res := DriftMode{Mode: "frozen+relayer", Windows: make([]DriftWindow, windows)}
 		for i, b := range batches {
 			t0 := time.Now()
 			for _, u := range b {
@@ -209,15 +207,13 @@ func RunDrift(o Options) DriftReport {
 			w.FullRelayers = m.FullRelayers
 			res.TotalUpdateSeconds += el.Seconds()
 		}
-		m := st.Metrics().Relayer
-		res.MembershipMoves = m.MembershipMoves
-		res.FullRelayers = m.FullRelayers
+		res.FullRelayers = st.Metrics().Relayer.FullRelayers
 		st.Close()
 		finishDriftWindows(&res)
 		return res
 	}
 
-	rep.Modes = append(rep.Modes, direct("frozen", false), direct("adaptive", true), relayer())
+	rep.Modes = append(rep.Modes, frozen(), relayer())
 	return rep
 }
 
@@ -250,14 +246,13 @@ func DriftExperiment(w io.Writer, o Options) {
 	fmt.Fprintf(w, "Drift (SSSP on %s, %d migration batches of %d vertices x %d rewires + %d edge churn, threads=%d, GOMAXPROCS=%d, capped=%v)\n",
 		rep.Graph, rep.TotalBatches, rep.MigrationSize, rep.MigrationRewire, rep.EdgeChurn, rep.Threads, rep.GOMAXPROCS, rep.Capped)
 	for _, m := range rep.Modes {
-		fmt.Fprintf(w, "%s: total=%.3fs moves=%d relayers=%d\n", m.Mode, m.TotalUpdateSeconds, m.MembershipMoves, m.FullRelayers)
+		fmt.Fprintf(w, "%s: total=%.3fs relayers=%d\n", m.Mode, m.TotalUpdateSeconds, m.FullRelayers)
 	}
-	t := NewTable("window", "frozen-ms", "frozen-skel", "frozen-touched", "adaptive-ms", "relayer-ms", "relayer-skel", "relayer-touched", "relayer-swaps")
-	frozen, adaptive, rl := rep.Modes[0], rep.Modes[1], rep.Modes[2]
+	t := NewTable("window", "frozen-ms", "frozen-skel", "frozen-touched", "relayer-ms", "relayer-skel", "relayer-touched", "relayer-swaps")
+	frozen, rl := rep.Modes[0], rep.Modes[1]
 	for i := range frozen.Windows {
 		t.Row(i, frozen.Windows[i].MeanUpdateMs, frozen.Windows[i].SkeletonFraction,
-			frozen.Windows[i].MeanTouchedRate,
-			adaptive.Windows[i].MeanUpdateMs, rl.Windows[i].MeanUpdateMs,
+			frozen.Windows[i].MeanTouchedRate, rl.Windows[i].MeanUpdateMs,
 			rl.Windows[i].SkeletonFraction, rl.Windows[i].MeanTouchedRate,
 			rl.Windows[i].FullRelayers)
 	}

@@ -86,9 +86,6 @@ func (p *Partition) Sizes() []int {
 }
 
 // LiveComms returns the number of community ids with at least one member.
-// Under incremental adjustment (AdjustDetailed) ids are stable, so emptied
-// communities keep their slot; the gap between LiveComms and NumComms is
-// the dead-id bloat that Compact (or a full re-layer) reclaims.
 func (p *Partition) LiveComms() int {
 	live := 0
 	for _, n := range p.Sizes() {
@@ -97,33 +94,6 @@ func (p *Partition) LiveComms() int {
 		}
 	}
 	return live
-}
-
-// Compact densely renumbers community ids in ascending old-id order,
-// dropping ids that no longer have members, and returns the old→new
-// mapping (dropped ids map to NoCommunity). This is the id-reclamation
-// point of the id-stability contract: ids are stable between re-layers,
-// and a full re-layer (or an explicit Compact) is the only place they are
-// recycled — callers holding per-community state must renumber through
-// the returned mapping.
-func (p *Partition) Compact() []int32 {
-	remap := make([]int32, p.NumComms)
-	next := int32(0)
-	for c, n := range p.Sizes() {
-		if n > 0 {
-			remap[c] = next
-			next++
-		} else {
-			remap[c] = NoCommunity
-		}
-	}
-	for v, c := range p.Comm {
-		if c >= 0 {
-			p.Comm[v] = remap[c]
-		}
-	}
-	p.NumComms = int(next)
-	return remap
 }
 
 // louvainState is the weighted undirected projection Louvain operates on.

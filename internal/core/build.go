@@ -87,11 +87,6 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 		}
 		l.subs[c] = s
 	}
-	if l.opt.AdaptiveCommunities {
-		// members was just materialized from the fresh partition; keep it as
-		// the per-community index adaptMembership maintains incrementally.
-		l.commVerts = members
-	}
 
 	// Flat graph over the final ID space.
 	fn := l.flatN()

@@ -51,7 +51,6 @@ func (l *Layph) Update(applied *delta.Applied) inc.Stats {
 	// Layering-quality gauges (the stream drift controller's inputs).
 	// SkeletonFraction is an O(flatN) scan, matching the per-update cost
 	// profile Update already has (state snapshots are O(flatN) too).
-	st.MembershipMoves = d.membershipMoves
 	live, up := 0, 0
 	for v := 0; v < l.flatN(); v++ {
 		vid := graph.VertexID(v)
@@ -75,11 +74,6 @@ func (l *Layph) Update(applied *delta.Applied) inc.Stats {
 	}
 	return st
 }
-
-// debugFlatOnly short-circuits the layered propagation: revision messages
-// run directly on the flat frame. Debug/testing aid for isolating whether a
-// divergence comes from deduction or from the layered phases.
-var debugFlatOnly = false
 
 // updateSum is the non-idempotent (memoization-free) online path: exact
 // inverse-delta revision messages, local absorption, skeleton iteration,
@@ -127,9 +121,6 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 			pending[v] += l.a.InitMessage(v)
 		}
 
-		if debugFlatOnly {
-			return
-		}
 		// Local absorption: one fixpoint per affected subgraph consumes the
 		// revision messages addressed to its members and turns them into
 		// boundary deltas for the skeleton. Subgraphs own disjoint member
@@ -158,9 +149,6 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 
 	ph.Time("lup-iteration", func() {
 		frame := &engine.Frame{Out: l.upOut}
-		if debugFlatOnly {
-			frame = &engine.Frame{Out: l.flatOut}
-		}
 		m0 := floatBuf(&sc.m0, n)
 		x0 := copyBuf(&sc.xSnap, l.x)
 		any := false
@@ -189,9 +177,6 @@ func (l *Layph) updateSum(applied *delta.Applied, d *layeredDiff, ph *metrics.Ph
 	})
 
 	ph.Time("assignment", func() {
-		if debugFlatOnly {
-			return
-		}
 		// One task per fused chunk: a task reads entry states (boundary
 		// vertices, not written here) and writes only its own subgraphs'
 		// internal vertices via the entry→internal shortcuts — disjoint

@@ -231,13 +231,6 @@ type Options struct {
 	// edge-weight-balanced chunks per pool worker instead of one task per
 	// subgraph (0 = default 4). Higher values mean finer-grained tasks.
 	FusionChunksPerWorker int
-	// AdaptiveCommunities makes every Update run the incremental community
-	// adjustment (community.AdjustDetailed) on the applied batch and migrate
-	// dense-subgraph membership to follow the partition — subgraph splits
-	// and merges are applied in place, refreshing only the affected
-	// subgraphs' layer structures. Off (the default) the memberships
-	// computed at build time stay frozen until a full re-layer.
-	AdaptiveCommunities bool
 }
 
 func (o Options) chunksPerWorker() int {
@@ -268,16 +261,9 @@ type Layph struct {
 	// the independent lower-layer subgraph tasks of every parallel phase.
 	pool *pool.Pool
 
-	// part holds the community membership of original vertices — frozen
-	// between full re-layers unless Options.AdaptiveCommunities is set, in
-	// which case adaptMembership evolves it incrementally every Update.
+	// part holds the community membership of original vertices, frozen
+	// between full re-layers.
 	part *community.Partition
-	// commVerts indexes live member lists by community id (adaptive mode
-	// only; nil otherwise). Maintained through AdjustDetailed's move log so
-	// promotion of drifted communities to fresh subgraphs needs no full
-	// partition rescan. May retain dead vertices — readers filter by
-	// liveness.
-	commVerts [][]graph.VertexID
 	// subs maps community id -> dense subgraph (absent = dissolved/sparse).
 	subs map[int32]*Subgraph
 
@@ -396,4 +382,11 @@ func (l *Layph) ShortcutCount() int {
 		n += s.NumShortcuts()
 	}
 	return n
+}
+
+// CommunityStats reports the partition's live community count against its
+// allocated id count. Memberships are frozen between full re-layers and a
+// fresh build numbers communities densely, so the two stay equal.
+func (l *Layph) CommunityStats() (live, ids int) {
+	return l.part.LiveComms(), l.part.NumComms
 }

@@ -12,11 +12,9 @@ import (
 // structure in sync with the already-applied batch. It
 //
 //   - grows the flat ID space for fresh vertices (they join Lup as outliers;
-//     by default memberships are frozen between full rebuilds, as the paper
+//     memberships are frozen between full re-layers, as the paper
 //     prescribes: "we update the dense subgraphs only when enough ΔG are
-//     accumulated" — with Options.AdaptiveCommunities the adaptMembership
-//     phase instead migrates memberships incrementally and forces rebuilds
-//     of the drifted subgraphs),
+//     accumulated"),
 //   - rebuilds the structure (roles, proxies, local frames, shortcuts) of
 //     every dense subgraph touched by the batch — shortcut deletion,
 //     addition and reweighting from the paper collapse into this local
@@ -44,9 +42,6 @@ type layeredDiff struct {
 	rebuiltSubs map[int32]*Subgraph
 	// shortcutActivations counts F applications spent maintaining shortcuts.
 	shortcutActivations int64
-	// membershipMoves counts the vertices the adaptive community adjustment
-	// migrated during this update (0 when AdaptiveCommunities is off).
-	membershipMoves int64
 	// parallelSubs counts the subgraph tasks dispatched to the worker pool
 	// during shortcut maintenance (rebuilds + incremental updates).
 	parallelSubs int64
@@ -68,16 +63,6 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	sc.dirtyRoles.reset(l.flatN())
 	sc.oldSeen.reset(l.flatN())
 	sc.oldRows = sc.oldRows[:0]
-
-	// Adaptive phase: evolve the community partition with the batch and
-	// migrate subgraph membership before any flat row is refreshed, so the
-	// first refresh pass snapshots true pre-batch routing and the rebuilt
-	// rows already reflect the new memberships. Subgraphs whose membership
-	// changed are force-rebuilt below.
-	var forcedRebuild []int32
-	if l.opt.AdaptiveCommunities {
-		forcedRebuild, d.membershipMoves = l.adaptMembership(applied)
-	}
 
 	// Pass 1: refresh the flat lists of sources whose out-edges (or, for
 	// degree-dependent weights, out-weights) changed: sources of changed
@@ -175,12 +160,6 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 			}
 		}
 	}
-	// Membership drift forces a structural rebuild regardless of role or
-	// replication flips (this includes subgraphs freshly promoted by
-	// adaptMembership, whose frames don't exist yet).
-	for _, c := range forcedRebuild {
-		markRebuild(c)
-	}
 	// Role flips among diff endpoints. roleCands is the current dirtyRoles
 	// prefix (capacity-clamped: the set keeps growing below).
 	nCands := len(sc.dirtyRoles.list)
@@ -234,16 +213,9 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 		markRebuild(subOfSafe(v))
 	}
 
-	// Rebuild phase: memberships are taken as-is (frozen, or already
-	// migrated by adaptMembership); proxies are re-decided, the local frame
-	// and every shortcut of the subgraph are re-deduced. Sorted order keeps
-	// fresh proxy IDs reproducible between runs.
-	rebuildIDs := make([]int32, 0, len(rebuild))
-	for c := range rebuild {
-		rebuildIDs = append(rebuildIDs, c)
-	}
-	sort.Slice(rebuildIDs, func(a, b int) bool { return rebuildIDs[a] < rebuildIDs[b] })
-	for _, c := range rebuildIDs {
+	// Rebuild phase: memberships are frozen; proxies are re-decided, the
+	// local frame and every shortcut of the subgraph are re-deduced.
+	rebuildSub := func(c int32) {
 		s := l.subs[c]
 		for _, v := range s.Members {
 			sc.dirtyRoles.add(v)
@@ -279,7 +251,7 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 				markTouched(v)
 			}
 			delete(l.subs, c)
-			continue
+			return
 		}
 		for _, h := range dec.entryHosts {
 			p := l.allocProxy(l.entryProxy, c, h)
@@ -297,12 +269,39 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 		d.affectedSubs[c] = s
 		d.rebuiltSubs[c] = s
 	}
-	for _, v := range sc.touched.list {
-		refresh(v)
+	// Rebuilding reroutes rows through fresh proxies, and the rerouted rows
+	// can flip roles in dense subgraphs no check above marked. A subgraph
+	// whose frame no longer matches its members' roles must be rebuilt too,
+	// so rebuild, refresh and recompute roles until no new flip appears.
+	// Sorted order keeps fresh proxy IDs reproducible between runs.
+	for len(rebuild) > 0 {
+		rebuildIDs := make([]int32, 0, len(rebuild))
+		for c := range rebuild {
+			rebuildIDs = append(rebuildIDs, c)
+		}
+		sort.Slice(rebuildIDs, func(a, b int) bool { return rebuildIDs[a] < rebuildIDs[b] })
+		for _, c := range rebuildIDs {
+			rebuildSub(c)
+		}
+		for _, v := range sc.touched.list {
+			refresh(v)
+		}
+		dirty := sc.dirtyRoles.list
+		sc.oldRoles = sc.oldRoles[:0]
+		for _, v := range dirty {
+			sc.oldRoles = append(sc.oldRoles, l.role[v])
+		}
+		l.recomputeRoles(dirty)
+		clear(rebuild)
+		for i, v := range dirty {
+			if l.role[v] != sc.oldRoles[i] {
+				if c := subOfSafe(v); c != NoSubgraph && d.rebuiltSubs[c] == nil {
+					rebuild[c] = struct{}{}
+				}
+			}
+		}
 	}
 	d.oldSrc, d.oldRows = sc.oldSeen.list, sc.oldRows
-
-	l.recomputeRoles(sc.dirtyRoles.list)
 
 	rebuildActs, rebuildTasks := l.buildSubgraphs(subgraphList(d.rebuiltSubs))
 	d.parallelSubs += rebuildTasks

@@ -208,4 +208,38 @@ func TestVertexGrowthRemapsProxies(t *testing.T) {
 	}
 }
 
+// TestDriftChurnHoldsInvariantsAndGauges drives a frozen engine through
+// community-migration churn and pins that every update leaves the layered
+// structure invariant-clean (SelfCheck), that the layering-quality gauges
+// the relayer consumes stay in range, and that the partition keeps no dead
+// community ids between re-layers.
+func TestDriftChurnHoldsInvariantsAndGauges(t *testing.T) {
+	g, _ := gen.CommunityGraph(gen.CommunityConfig{
+		Vertices: 600, MeanCommunity: 30, IntraDegree: 6, InterDegree: 0.4,
+		Weighted: true, Seed: 3,
+	})
+	l := New(g, algo.NewSSSP(0), Options{Workers: 2, SelfCheck: true})
+	genr := delta.NewGenerator(17)
+	for i := 0; i < 10; i++ {
+		batch := genr.MigrationBatch(g, 15, 4, true)
+		batch = append(batch, genr.EdgeBatch(g, 40, true)...)
+		st := l.Update(delta.Apply(g, batch))
+		if l.LastCheck != nil {
+			t.Fatalf("batch %d: invariants violated: %v", i, l.LastCheck)
+		}
+		if st.TouchedSubgraphRatio < 0 || st.TouchedSubgraphRatio > 1 {
+			t.Fatalf("batch %d: touched ratio out of range: %v", i, st.TouchedSubgraphRatio)
+		}
+		if st.SkeletonFraction <= 0 || st.SkeletonFraction > 1 {
+			t.Fatalf("batch %d: skeleton fraction out of range: %v", i, st.SkeletonFraction)
+		}
+		if st.ShortcutHitRate < 0 || st.ShortcutHitRate > 1 {
+			t.Fatalf("batch %d: shortcut hit rate out of range: %v", i, st.ShortcutHitRate)
+		}
+	}
+	if live, ids := l.CommunityStats(); live <= 0 || live != ids {
+		t.Fatalf("CommunityStats: live=%d ids=%d, want live == ids > 0", live, ids)
+	}
+}
+
 func commCfg(maxSize int) (c community.Config) { c.MaxSize = maxSize; return c }

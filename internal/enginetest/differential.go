@@ -23,6 +23,10 @@ type DifferentialConfig struct {
 	Seeds []int64
 	// Vertices sizes the community graph every engine starts from.
 	Vertices int
+	// Graph, when non-nil, replaces the default community-graph shape
+	// (Vertices is then ignored; Seed and Weighted still come from Seeds
+	// and Weighted).
+	Graph *gen.CommunityConfig
 	// Batches is the number of update batches per seed; BatchSize the
 	// number of edge updates per batch.
 	Batches   int
@@ -46,10 +50,9 @@ type DifferentialConfig struct {
 	// MigrationSize/MigrationRewire, when positive, mix a community-
 	// migration churn sub-batch into every batch (delta.MigrationBatch):
 	// a cluster of MigrationSize vertices is rewired with MigrationRewire
-	// edges each into a different community neighborhood. This is the
-	// drift schedule for adaptive re-layering: repeated migrations decay
-	// any frozen layering, so it stresses membership-migration paths in
-	// adaptive engines against the restart oracle.
+	// edges each into a different community neighborhood. Repeated
+	// migrations decay a frozen layering: roles flip and subgraphs are
+	// rebuilt or dissolved batch after batch.
 	MigrationSize, MigrationRewire int
 }
 
@@ -97,7 +100,7 @@ func CSRDifferentialConfig() DifferentialConfig {
 // DriftDifferentialConfig returns the community-migration churn schedule:
 // every batch moves a vertex cluster into a different community
 // neighborhood on top of the usual edge/vertex churn, so frozen layerings
-// drift while adaptive ones migrate memberships each batch.
+// drift.
 func DriftDifferentialConfig() DifferentialConfig {
 	c := DefaultDifferentialConfig()
 	c.Seeds = []int64{31}
@@ -108,30 +111,53 @@ func DriftDifferentialConfig() DifferentialConfig {
 	return c
 }
 
+// DriftTightDifferentialConfig is the drift schedule on the drift bench's
+// graph shape: tight communities with a thin boundary, so most members are
+// internal and a rebuild's proxy rerouting flips roles in neighbouring
+// subgraphs that the batch itself never touched.
+func DriftTightDifferentialConfig() DifferentialConfig {
+	c := DriftDifferentialConfig()
+	c.Seeds = []int64{1, 3}
+	c.Graph = &gen.CommunityConfig{
+		Vertices: 1000, MeanCommunity: 40, IntraDegree: 10, InterDegree: 0.05,
+		HubFraction: 0.002, HubDegree: 12,
+	}
+	c.BatchSize = 20
+	c.AddVertices, c.DelVertices = 0, 0
+	c.MigrationSize = 15
+	c.MigrationRewire = 10
+	return c
+}
+
 // RunDifferential is the cross-engine differential fuzzer: every engine
 // is constructed on its own clone of the same seeded community graph,
 // then driven through an identical random update sequence (edge add/del
 // plus vertex add/del mixes), and after every batch each engine's states
 // are checked against a from-scratch batch restart on the updated graph —
-// and therefore, transitively, against each other. A parallel engine that
-// diverges from its sequential twin, or any engine that drifts from the
-// restart oracle, fails with the engine name, seed and batch index.
+// and therefore, transitively, against each other. Engines that expose
+// CheckInvariants (Layph) also have their layered structure validated
+// after every batch. A parallel engine that diverges from its sequential
+// twin, or any engine that drifts from the restart oracle, fails with the
+// engine name, seed and batch index.
 func RunDifferential(t *testing.T, engines []NamedFactory, mkAlgo AlgoMaker, cfg DifferentialConfig) {
 	t.Helper()
 	if len(engines) == 0 {
 		t.Fatal("enginetest: no engines to differentiate")
 	}
 	for _, seed := range cfg.Seeds {
-		driver, _ := gen.CommunityGraph(gen.CommunityConfig{
+		shape := gen.CommunityConfig{
 			Vertices:      cfg.Vertices,
 			MeanCommunity: 25,
 			IntraDegree:   6,
 			InterDegree:   0.4,
 			HubFraction:   0.01,
 			HubDegree:     10,
-			Weighted:      cfg.Weighted,
-			Seed:          seed,
-		})
+		}
+		if cfg.Graph != nil {
+			shape = *cfg.Graph
+		}
+		shape.Weighted, shape.Seed = cfg.Weighted, seed
+		driver, _ := gen.CommunityGraph(shape)
 		if cfg.CSRCompactFraction > 0 {
 			driver.SetCSRCompactFraction(cfg.CSRCompactFraction)
 		}
@@ -162,6 +188,11 @@ func RunDifferential(t *testing.T, engines []NamedFactory, mkAlgo AlgoMaker, cfg
 			for i, e := range engines {
 				applied := delta.Apply(graphs[i], batch)
 				sys[i].Update(applied)
+				if c, ok := sys[i].(interface{ CheckInvariants() error }); ok {
+					if err := c.CheckInvariants(); err != nil {
+						t.Fatalf("%s seed=%d batch=%d: %v", e.Name, seed, b, err)
+					}
+				}
 				if cfg.CheckCSR {
 					// Pin overlay coherence after the engine consumed the
 					// batch, then force a compaction pass so the next batch

@@ -83,9 +83,6 @@ type Stats struct {
 	// the non-idempotent scheme applies every above-tolerance delta, so it
 	// reports ~1 and the gauge is diagnostic only there).
 	ShortcutHitRate float64
-	// MembershipMoves counts vertices migrated between communities by the
-	// incremental adjustment phase (Options.AdaptiveCommunities only).
-	MembershipMoves int64
 }
 
 // Add accumulates another update's record into s: counters and durations
@@ -103,7 +100,6 @@ func (s *Stats) Add(o Stats) {
 		s.SkeletonFraction = w(s.SkeletonFraction, o.SkeletonFraction)
 		s.ShortcutHitRate = w(s.ShortcutHitRate, o.ShortcutHitRate)
 	}
-	s.MembershipMoves += o.MembershipMoves
 	s.Activations += o.Activations
 	s.Rounds += o.Rounds
 	s.Resets += o.Resets

@@ -468,7 +468,7 @@ type engineMetrics struct {
 	BoundaryPins int64 `json:"boundary_pins,omitempty"`
 }
 
-// relayerMetrics is the JSON shape of stream.RelayerMetrics — the adaptive
+// relayerMetrics is the JSON shape of stream.RelayerMetrics — the
 // re-layering drift controller (see stream.RelayerConfig).
 type relayerMetrics struct {
 	FullRelayers     int64   `json:"full_relayers"`
@@ -478,9 +478,6 @@ type relayerMetrics struct {
 	ShortcutHitEWMA  float64 `json:"shortcut_hit_ewma"`
 	SkeletonFraction float64 `json:"skeleton_fraction"`
 	SkeletonBaseline float64 `json:"skeleton_baseline"`
-	MembershipMoves  int64   `json:"membership_moves"`
-	LiveCommunities  int     `json:"live_communities,omitempty"`
-	CommunityIDs     int     `json:"community_ids,omitempty"`
 	LastSwapSeq      uint64  `json:"last_swap_seq"`
 	LastTrigger      string  `json:"last_trigger,omitempty"`
 }
@@ -518,7 +515,7 @@ type metricsResponse struct {
 	Recovery *wal.RecoveryInfo `json:"recovery,omitempty"`
 	// Shards appears only on a sharded engine (see Server.AttachShards).
 	Shards []shard.Info `json:"shards,omitempty"`
-	// Relayer appears only when the stream runs the adaptive re-layering
+	// Relayer appears only when the stream runs the re-layering drift
 	// controller (StreamConfig.Relayer).
 	Relayer *relayerMetrics `json:"relayer,omitempty"`
 }
@@ -571,9 +568,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			ShortcutHitEWMA:  rl.ShortcutHitEWMA,
 			SkeletonFraction: rl.SkeletonFraction,
 			SkeletonBaseline: rl.SkeletonBaseline,
-			MembershipMoves:  rl.MembershipMoves,
-			LiveCommunities:  rl.LiveCommunities,
-			CommunityIDs:     rl.CommunityIDs,
 			LastSwapSeq:      rl.LastSwapSeq,
 			LastTrigger:      rl.LastTrigger,
 		}

@@ -458,7 +458,7 @@ func TestMetricsRelayerBlock(t *testing.T) {
 		Weighted: true, Seed: 15,
 	})
 	build := func(g2 *graph.Graph) inc.System {
-		return core.New(g2, algo.NewSSSP(0), core.Options{Workers: 2, AdaptiveCommunities: true})
+		return core.New(g2, algo.NewSSSP(0), core.Options{Workers: 2})
 	}
 	st := stream.New(g, build(g), stream.Config{
 		MaxBatch: 50, MaxDelay: -1,

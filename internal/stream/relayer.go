@@ -8,7 +8,7 @@ import (
 	"layph/internal/inc"
 )
 
-// RelayerConfig configures the adaptive re-layering controller (set as
+// RelayerConfig configures the re-layering drift controller (set as
 // Config.Relayer). After every applied micro-batch the controller folds the
 // engine's layering-quality signal (inc.Stats: touched-subgraph ratio,
 // skeleton fraction, shortcut hit rate) into exponentially-weighted moving
@@ -16,11 +16,10 @@ import (
 // re-layer — Build on a clone of the live graph — in the background, keeps
 // streaming on the old engine while recording the applied micro-batches,
 // then replays that tail on the fresh engine and atomically swaps it in at
-// a deterministic batch boundary (SwapLagBatches after the trigger). The incremental half of adaptivity (per-batch subgraph
-// splits/merges) lives in the engine itself (core.Options.
-// AdaptiveCommunities); the controller is the backstop that bounds drift
-// the incremental adjustment cannot repair, and a full re-layer is the
-// point where dead community ids are reclaimed.
+// a deterministic batch boundary (SwapLagBatches after the trigger). The
+// engine keeps dense-subgraph memberships frozen between re-layers, so the
+// controller is the only mechanism by which the layering follows community
+// drift.
 type RelayerConfig struct {
 	// Build constructs a fresh engine over a snapshot graph: full community
 	// re-detection, layer construction and the initial batch run. Required.
@@ -37,19 +36,6 @@ type RelayerConfig struct {
 	// dissolves dense subgraphs and the skeleton — the global-iteration
 	// working set — swells.
 	SkeletonGrowthFactor float64
-	// DeadCommunityFraction triggers when the fraction of allocated
-	// community ids without members exceeds it (0 = 0.5). Incremental
-	// adjustment keeps ids stable, so dead ids accumulate until a full
-	// re-layer compacts them; engines expose the gauge via
-	// CommunityStats() (live, ids int).
-	DeadCommunityFraction float64
-	// MinShortcutHitRate, when positive, triggers when the EWMA shortcut
-	// hit rate (improving replays / replays, idempotent schemes) falls
-	// below it. Default 0 = disabled; the hit rate is primarily a
-	// diagnostic.
-	MinShortcutHitRate float64
-	// Alpha is the EWMA smoothing factor (0 = 0.2).
-	Alpha float64
 	// MinBatches is the cooldown: applied batches that must pass after a
 	// (re)build before the next trigger evaluation (0 = 16).
 	MinBatches int
@@ -65,18 +51,15 @@ type RelayerConfig struct {
 	SwapLagBatches int
 }
 
+// relayerAlpha is the smoothing factor of the quality EWMAs.
+const relayerAlpha = 0.2
+
 func (c RelayerConfig) withDefaults() RelayerConfig {
 	if c.TouchedRatioThreshold == 0 {
 		c.TouchedRatioThreshold = 0.35
 	}
 	if c.SkeletonGrowthFactor == 0 {
 		c.SkeletonGrowthFactor = 1.5
-	}
-	if c.DeadCommunityFraction == 0 {
-		c.DeadCommunityFraction = 0.5
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.2
 	}
 	if c.MinBatches == 0 {
 		c.MinBatches = 16
@@ -105,12 +88,6 @@ type RelayerMetrics struct {
 	ShortcutHitEWMA  float64
 	SkeletonFraction float64
 	SkeletonBaseline float64
-	// MembershipMoves accumulates the engine's adaptive migration count.
-	MembershipMoves int64
-	// LiveCommunities / CommunityIDs mirror the engine's CommunityStats at
-	// the last trigger evaluation (0/0 when the engine does not expose it).
-	LiveCommunities int
-	CommunityIDs    int
 	// LastSwapSeq is the snapshot sequence the latest swap landed on;
 	// LastTrigger names the threshold that fired it.
 	LastSwapSeq uint64
@@ -161,21 +138,19 @@ func (s *Stream) relayerStep(batch delta.Batch, st inc.Stats, applied bool, snap
 	}
 	if applied {
 		rl.sinceBuild++
-		a := rl.cfg.Alpha
 		if !rl.ewmaSeeded {
 			rl.ewmaSeeded = true
 			rl.m.TouchedRatioEWMA = st.TouchedSubgraphRatio
 			rl.m.ShortcutHitEWMA = st.ShortcutHitRate
 		} else {
-			rl.m.TouchedRatioEWMA += a * (st.TouchedSubgraphRatio - rl.m.TouchedRatioEWMA)
-			rl.m.ShortcutHitEWMA += a * (st.ShortcutHitRate - rl.m.ShortcutHitEWMA)
+			rl.m.TouchedRatioEWMA += relayerAlpha * (st.TouchedSubgraphRatio - rl.m.TouchedRatioEWMA)
+			rl.m.ShortcutHitEWMA += relayerAlpha * (st.ShortcutHitRate - rl.m.ShortcutHitEWMA)
 		}
 		rl.m.SkeletonFraction = st.SkeletonFraction
 		if !rl.baseSeeded {
 			rl.baseSeeded = true
 			rl.m.SkeletonBaseline = st.SkeletonFraction
 		}
-		rl.m.MembershipMoves += st.MembershipMoves
 		s.relayerMaybeTrigger()
 	}
 	s.mu.Lock()
@@ -195,19 +170,7 @@ func (s *Stream) relayerMaybeTrigger() {
 	case rl.baseSeeded && rl.m.SkeletonBaseline > 0 &&
 		rl.m.SkeletonFraction > rl.m.SkeletonBaseline*rl.cfg.SkeletonGrowthFactor:
 		reason = "skeleton-growth"
-	case rl.cfg.MinShortcutHitRate > 0 && rl.ewmaSeeded &&
-		rl.m.ShortcutHitEWMA < rl.cfg.MinShortcutHitRate:
-		reason = "shortcut-hit-rate"
 	default:
-		if cs, ok := s.sys.(interface{ CommunityStats() (int, int) }); ok {
-			live, ids := cs.CommunityStats()
-			rl.m.LiveCommunities, rl.m.CommunityIDs = live, ids
-			if ids > 0 && float64(ids-live)/float64(ids) > rl.cfg.DeadCommunityFraction {
-				reason = "dead-communities"
-			}
-		}
-	}
-	if reason == "" {
 		return
 	}
 	rl.m.LastTrigger = reason

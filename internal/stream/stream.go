@@ -117,7 +117,7 @@ type Config struct {
 	// letting recovery fold the WAL tail's replay work into /metrics.
 	StartStats inc.Stats
 	// Relayer, when non-nil (and carrying a Build hook), enables the
-	// adaptive re-layering controller: layering-quality signals from each
+	// re-layering drift controller: layering-quality signals from each
 	// update feed drift thresholds, and decayed quality launches a
 	// background full re-layer that is atomically swapped in at a batch
 	// boundary. See RelayerConfig.
@@ -193,7 +193,7 @@ type Metrics struct {
 	// Engine aggregates the per-batch inc.Stats over the stream lifetime
 	// (including Config.StartStats, i.e. recovery replay work).
 	Engine inc.Stats
-	// Relayer reports the adaptive re-layering controller's state
+	// Relayer reports the re-layering drift controller's state
 	// (Relayer.Enabled is false when no relayer is configured).
 	Relayer RelayerMetrics
 }

@@ -165,14 +165,6 @@ type Config struct {
 	// subgraph list, the thread count and this knob, so the determinism
 	// contract above is unaffected.
 	FusionChunksPerWorker int
-	// AdaptiveCommunities wires the incremental community adjustment into
-	// every Update: vertex migrations, subgraph splits and merges are
-	// applied in place (refreshing only the affected subgraphs' layer
-	// structures) instead of freezing memberships until a full rebuild.
-	// The adjustment and the structural migration are deterministic, so
-	// the determinism contract above is unaffected. Pair with
-	// StreamConfig.Relayer for the background full-re-layer backstop.
-	AdaptiveCommunities bool
 }
 
 // NewLayph builds the layered graph for g under a (offline phase), runs the
@@ -184,7 +176,6 @@ func NewLayph(g *Graph, a Algorithm, cfg Config) *core.Layph {
 		DisableReplication:    cfg.DisableReplication,
 		Community:             community.Config{MaxSize: cfg.MaxCommunitySize},
 		FusionChunksPerWorker: cfg.FusionChunksPerWorker,
-		AdaptiveCommunities:   cfg.AdaptiveCommunities,
 	})
 }
 
@@ -248,10 +239,12 @@ type StreamSnapshot = stream.Snapshot
 // StreamMetrics summarizes stream counters and rolling rates.
 type StreamMetrics = stream.Metrics
 
-// RelayerConfig configures the adaptive re-layering controller of a Stream
+// RelayerConfig configures the re-layering drift controller of a Stream
 // (StreamConfig.Relayer): layering-quality signals from every update feed
 // drift thresholds, and decayed quality triggers a background full
-// re-layer swapped in atomically at a batch boundary.
+// re-layer swapped in atomically at a batch boundary. Memberships are
+// frozen between re-layers, so this is the only way the layering follows
+// community drift.
 type RelayerConfig = stream.RelayerConfig
 
 // RelayerMetrics reports the drift controller's state (StreamMetrics.Relayer
@@ -259,8 +252,7 @@ type RelayerConfig = stream.RelayerConfig
 type RelayerMetrics = stream.RelayerMetrics
 
 // LayphRelayer returns a RelayerConfig whose Build hook performs a full
-// re-layer with NewLayph — fresh community detection (which compacts the
-// id space the incremental adjustment left gaps in), layer construction
+// re-layer with NewLayph — fresh community detection, layer construction
 // and the initial run — using the given algorithm and engine config.
 // Thresholds are zero (defaults); override on the returned value.
 func LayphRelayer(a Algorithm, cfg Config) *RelayerConfig {

@@ -140,30 +140,25 @@ func TestDifferentialFuzzCSR(t *testing.T) {
 	}
 }
 
-// layphAdaptiveFactory is layphFactory with adaptive community migration
-// switched on: every update runs the incremental adjustment and migrates
-// subgraph memberships in place.
-func layphAdaptiveFactory(threads int) enginetest.Factory {
-	return func(g *graph.Graph, a algo.Algorithm) inc.System {
-		return NewLayph(g, a, Config{Threads: threads, AdaptiveCommunities: true})
-	}
-}
-
-// TestDifferentialFuzzDrift drives the community-migration churn schedule:
+// TestDifferentialFuzzDrift drives the community-migration churn schedules:
 // every batch rewires a vertex cluster into a different community
-// neighborhood, so a frozen layering drifts while the adaptive engines
-// split/merge subgraphs each batch. Adaptive Layph (sequential and
-// parallel) and frozen Layph are all checked against the restart oracle
-// after every batch.
+// neighborhood, so the frozen layering drifts and subgraphs are rebuilt or
+// dissolved batch after batch. Layph (sequential and parallel) is checked
+// against the restart oracle and its structural invariants after every
+// batch, on the default graph shape and on the drift bench's tight one.
 func TestDifferentialFuzzDrift(t *testing.T) {
 	engines := []enginetest.NamedFactory{
-		{Name: "layph-adaptive-t1", New: layphAdaptiveFactory(1)},
-		{Name: "layph-adaptive-t8", New: layphAdaptiveFactory(8)},
 		{Name: "layph-frozen-t1", New: layphFactory(1)},
+		{Name: "layph-frozen-t8", New: layphFactory(8)},
 	}
-	cfg := enginetest.DriftDifferentialConfig()
+	cfgs := []enginetest.DifferentialConfig{
+		enginetest.DriftDifferentialConfig(),
+		enginetest.DriftTightDifferentialConfig(),
+	}
 	if testing.Short() {
-		cfg.Batches = 4
+		for i := range cfgs {
+			cfgs[i].Batches = 4
+		}
 	}
 	algos := map[string]enginetest.AlgoMaker{
 		"sssp":     enginetest.MinAlgorithms()["sssp"],
@@ -171,36 +166,10 @@ func TestDifferentialFuzzDrift(t *testing.T) {
 	}
 	for name, mk := range algos {
 		t.Run(name, func(t *testing.T) {
-			enginetest.RunDifferential(t, engines, mk, cfg)
-		})
-	}
-}
-
-// TestAdaptiveMinDeterminism pins the determinism contract with adaptive
-// communities enabled: at a fixed thread count, identical drift-churn
-// inputs must produce byte-identical min-scheme states, run to run —
-// including the incremental adjustment's move order and the forced
-// subgraph rebuilds it causes.
-func TestAdaptiveMinDeterminism(t *testing.T) {
-	run := func() []float64 {
-		g := demoGraph()
-		sys := NewLayph(g, SSSP(0), Config{Threads: 4, AdaptiveCommunities: true})
-		gen := NewBatchGenerator(99)
-		for i := 0; i < 6; i++ {
-			batch := gen.MigrationBatch(g, 12, 4, true)
-			batch = append(batch, gen.EdgeBatch(g, 40, true)...)
-			sys.Update(ApplyBatch(g, batch))
-		}
-		return append([]float64(nil), sys.States()[:g.Cap()]...)
-	}
-	want := run()
-	for rep := 0; rep < 3; rep++ {
-		got := run()
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("rep %d: vertex %d = %v, want %v (byte-identical contract broken)", rep, v, got[v], want[v])
+			for _, cfg := range cfgs {
+				enginetest.RunDifferential(t, engines, mk, cfg)
 			}
-		}
+		})
 	}
 }
 
