@@ -23,7 +23,6 @@ import (
 	"layph/internal/gen"
 	"layph/internal/graph"
 	"layph/internal/inc"
-	"layph/internal/shard"
 )
 
 func main() {
@@ -41,7 +40,6 @@ type engineFlags struct {
 	scale                               float64
 	source                              uint
 	threads                             int
-	shards                              int
 }
 
 func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
@@ -53,7 +51,6 @@ func registerEngineFlags(fs *flag.FlagSet) *engineFlags {
 	fs.StringVar(&ef.system, "system", "layph", "layph | ingress | kickstarter | risgraph | graphbolt | dzig | restart")
 	fs.UintVar(&ef.source, "source", 0, "source vertex for sssp/bfs/php")
 	fs.IntVar(&ef.threads, "threads", 0, "worker threads (0 = GOMAXPROCS)")
-	fs.IntVar(&ef.shards, "shards", 0, "community-aware shard count (0 = unsharded; >1 overrides -system)")
 	return ef
 }
 
@@ -81,9 +78,6 @@ func (ef *engineFlags) loadGraph() *graph.Graph {
 // the graph may come from a recovered checkpoint instead of -graph.
 func (ef *engineFlags) buildOn(g *graph.Graph) (inc.System, *core.Layph) {
 	mk := makeAlgo(ef.algoName, graph.VertexID(ef.source))
-	if ef.shards > 1 {
-		return shard.New(g, mk(), shard.Options{Shards: ef.shards, Threads: ef.threads}), nil
-	}
 	return bench.Build(bench.SystemKind(ef.system), g, mk, ef.threads)
 }
 

@@ -28,7 +28,6 @@ import (
 	"layph/internal/graph"
 	"layph/internal/inc"
 	"layph/internal/server"
-	"layph/internal/shard"
 	"layph/internal/stream"
 	"layph/internal/wal"
 )
@@ -112,9 +111,6 @@ func serveMain(args []string) {
 		// The workload tag pins the directory to this algo/engine/source
 		// combination; resuming it under a different one is refused.
 		meta := fmt.Sprintf("algo=%s system=%s source=%d", ef.algoName, ef.system, ef.source)
-		if ef.shards > 1 {
-			meta += fmt.Sprintf(" shards=%d", ef.shards)
-		}
 		if hasDurableState(*walDir) {
 			fmt.Printf("wal: recovering from %s (-graph/-preset ignored)\n", *walDir)
 		} else {
@@ -238,9 +234,6 @@ func daemonMain(s *stream.Stream, dur *layph.DurableStream, addr string, idCap g
 	if dur != nil {
 		srv.AttachDurability(dur.Log, dur.Recovery)
 	}
-	if gr, ok := s.System().(server.ShardSource); ok {
-		srv.AttachShards(gr)
-	}
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "listen:", err)
 		os.Exit(1)
@@ -281,10 +274,6 @@ func printFinal(s *stream.Stream, top int) {
 	fmt.Printf("engine totals: activations=%d rounds=%d resets=%d update-time=%v subgraph-tasks=%d pool-util=%.0f%%\n",
 		m.Engine.Activations, m.Engine.Rounds, m.Engine.Resets, m.Engine.Duration.Round(time.Microsecond),
 		m.Engine.SubgraphsParallel, 100*m.Engine.PoolUtilization)
-	if gr, ok := s.System().(interface{ ShardInfos() []shard.Info }); ok {
-		fmt.Printf("shard totals: shards=%d exchange-rounds=%d boundary-pins=%d\n",
-			len(gr.ShardInfos()), m.Engine.ShardRounds, m.Engine.BoundaryPins)
-	}
 	if rl := m.Relayer; rl.Enabled {
 		fmt.Printf("relayer totals: full-relayers=%d replayed-batches=%d touched-ewma=%.3f skeleton=%.3f/%.3f last-trigger=%s\n",
 			rl.FullRelayers, rl.ReplayedBatches, rl.TouchedRatioEWMA,

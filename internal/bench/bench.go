@@ -9,8 +9,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"time"
 
@@ -278,6 +280,16 @@ func SortedSystems(rs []SystemResult, order []SystemKind) []SystemResult {
 	out := append([]SystemResult(nil), rs...)
 	sort.SliceStable(out, func(a, b int) bool { return rank[out[a].System] < rank[out[b].System] })
 	return out
+}
+
+// writeJSON writes a BENCH_*.json report to path (pretty-printed, trailing
+// newline) for regression tracking across PRs.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Build constructs the named system over g (running the initial batch

@@ -169,7 +169,7 @@ func TestParallelReportJSON(t *testing.T) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_parallel.json")
-	if err := WriteParallelJSON(path, rep); err != nil {
+	if err := writeJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -249,7 +249,7 @@ func TestRecoveryReportJSON(t *testing.T) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_recovery.json")
-	if err := WriteRecoveryJSON(path, rep); err != nil {
+	if err := writeJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

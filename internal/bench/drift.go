@@ -13,10 +13,8 @@ package bench
 // swap.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -56,7 +54,7 @@ type DriftMode struct {
 // DriftReport is the BENCH_drift.json payload. Capped is set when the
 // requested thread count oversubscribes the cores (the capture then
 // measures time-sharing, not parallel latency) — same honesty convention
-// as ParallelReport/ShardReport.
+// as ParallelReport.
 type DriftReport struct {
 	Graph           string      `json:"graph"`
 	Algo            string      `json:"algo"`
@@ -229,16 +227,6 @@ func finishDriftWindows(m *DriftMode) {
 	}
 }
 
-// WriteDriftJSON writes the report to path (pretty-printed, trailing
-// newline) for regression tracking across PRs.
-func WriteDriftJSON(path string, rep DriftReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // DriftExperiment prints the drift trend table and drops BENCH_drift.json
 // next to the invocation.
 func DriftExperiment(w io.Writer, o Options) {
@@ -257,7 +245,7 @@ func DriftExperiment(w io.Writer, o Options) {
 			rl.Windows[i].FullRelayers)
 	}
 	t.Print(w)
-	if err := WriteDriftJSON(DriftJSONPath, rep); err != nil {
+	if err := writeJSON(DriftJSONPath, rep); err != nil {
 		fmt.Fprintf(w, "(could not write %s: %v)\n", DriftJSONPath, err)
 	} else {
 		fmt.Fprintf(w, "(wrote %s)\n", DriftJSONPath)

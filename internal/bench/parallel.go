@@ -8,10 +8,8 @@ package bench
 // perf trajectory to regress against.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 
@@ -166,16 +164,6 @@ func PerfSmoke(w io.Writer, o Options) int {
 	return 0
 }
 
-// WriteParallelJSON writes the report to path (pretty-printed, trailing
-// newline) for regression tracking across PRs.
-func WriteParallelJSON(path string, rep ParallelReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // ParallelExperiment prints the speedup-vs-threads table and drops
 // BENCH_parallel.json next to the invocation.
 func ParallelExperiment(w io.Writer, o Options) {
@@ -187,7 +175,7 @@ func ParallelExperiment(w io.Writer, o Options) {
 		t.Row(p.Threads, p.UpdateSeconds, p.SpeedupVsT1, p.SubgraphsParallel, p.PoolUtilization, p.Capped)
 	}
 	t.Print(w)
-	if err := WriteParallelJSON(ParallelJSONPath, rep); err != nil {
+	if err := writeJSON(ParallelJSONPath, rep); err != nil {
 		fmt.Fprintf(w, "(could not write %s: %v)\n", ParallelJSONPath, err)
 	} else {
 		fmt.Fprintf(w, "(wrote %s)\n", ParallelJSONPath)

@@ -11,7 +11,6 @@ package bench
 // restart — is timed end to end.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -275,16 +274,6 @@ func RunRecovery(o Options) (RecoveryReport, error) {
 	return rep, nil
 }
 
-// WriteRecoveryJSON writes the report to path (pretty-printed, trailing
-// newline) for regression tracking across PRs.
-func WriteRecoveryJSON(path string, rep RecoveryReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // RecoveryExperiment prints both tables and drops BENCH_recovery.json
 // next to the invocation.
 func RecoveryExperiment(w io.Writer, o Options) {
@@ -306,7 +295,7 @@ func RecoveryExperiment(w io.Writer, o Options) {
 		t.Row(p.CheckpointEvery, p.TailBatches, p.ReplayedUpdates, p.RecoverMillis, p.LoadMillis, p.ReplayMillis, p.ReplayUPS)
 	}
 	t.Print(w)
-	if err := WriteRecoveryJSON(RecoveryJSONPath, rep); err != nil {
+	if err := writeJSON(RecoveryJSONPath, rep); err != nil {
 		fmt.Fprintf(w, "(could not write %s: %v)\n", RecoveryJSONPath, err)
 	} else {
 		fmt.Fprintf(w, "(wrote %s)\n", RecoveryJSONPath)

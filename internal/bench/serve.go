@@ -10,12 +10,10 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -209,16 +207,6 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[i]
 }
 
-// WriteServeJSON writes the report to path (pretty-printed, trailing
-// newline) for regression tracking across PRs.
-func WriteServeJSON(path string, rep ServeReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // ServeExperiment prints the read-scaling table and drops
 // BENCH_serve.json next to the invocation.
 func ServeExperiment(w io.Writer, o Options) {
@@ -230,7 +218,7 @@ func ServeExperiment(w io.Writer, o Options) {
 		t.Row(p.Readers, p.Reads, p.QPS, p.P50Micros, p.P99Micros, p.WriteUPS, p.Batches)
 	}
 	t.Print(w)
-	if err := WriteServeJSON(ServeJSONPath, rep); err != nil {
+	if err := writeJSON(ServeJSONPath, rep); err != nil {
 		fmt.Fprintf(w, "(could not write %s: %v)\n", ServeJSONPath, err)
 	} else {
 		fmt.Fprintf(w, "(wrote %s)\n", ServeJSONPath)

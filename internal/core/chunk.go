@@ -29,11 +29,11 @@ func subWeight(s *Subgraph) int {
 }
 
 // subgraphChunks packs ID-sorted subgraphs into contiguous chunks weighted
-// by subWeight, targeting chunksPerWorker chunks per pool worker (default
-// 4, i.e. each chunk carries roughly a quarter of the touched edges per
-// thread). Chunk boundaries depend only on the sorted input, the worker
-// count and the knob — not on timing — so for a fixed Threads setting the
-// grouping, and therefore the fan-out and merge order, is deterministic.
+// by subWeight, targeting fusionChunksPerWorker chunks per pool worker
+// (each chunk carries roughly a quarter of the touched edges per thread).
+// Chunk boundaries depend only on the sorted input and the worker count —
+// not on timing — so for a fixed Threads setting the grouping, and
+// therefore the fan-out and merge order, is deterministic.
 func (l *Layph) subgraphChunks(subs []*Subgraph) [][]*Subgraph {
 	if len(subs) == 0 {
 		return nil
@@ -42,7 +42,7 @@ func (l *Layph) subgraphChunks(subs []*Subgraph) [][]*Subgraph {
 	if len(subs) == 1 || workers <= 1 {
 		return [][]*Subgraph{subs}
 	}
-	maxChunks := workers * l.opt.chunksPerWorker()
+	maxChunks := workers * fusionChunksPerWorker
 	if maxChunks > len(subs) {
 		maxChunks = len(subs)
 	}

@@ -208,11 +208,9 @@ type Options struct {
 	// Community configures dense-subgraph discovery; MaxSize is the paper's
 	// K (0 lets Build pick ~0.1% of |V|, clamped to [8, 4096]).
 	Community community.Config
-	// ReplicationThreshold is R: an external vertex with at least R parallel
-	// edges into/out of one subgraph is replicated as a proxy (default 3).
-	// DisableReplication turns the optimization off (Figure 8's ablation).
-	ReplicationThreshold int
-	DisableReplication   bool
+	// DisableReplication turns vertex replication (see
+	// replicationThreshold) off: Figure 8's ablation.
+	DisableReplication bool
 	// Workers is the parallelism of both layers (0 = GOMAXPROCS): the
 	// worker count of the global (Lup) iteration and the size of the
 	// shared pool that runs independent lower-layer subgraph tasks
@@ -226,28 +224,25 @@ type Options struct {
 	// in LastCheck. Testing/debugging aid; costs a full structure scan
 	// per update.
 	SelfCheck bool
-	// FusionChunksPerWorker tunes chunked task fusion: lower-layer
-	// fan-outs pack the touched subgraphs into about this many
-	// edge-weight-balanced chunks per pool worker instead of one task per
-	// subgraph (0 = default 4). Higher values mean finer-grained tasks.
-	FusionChunksPerWorker int
 }
 
-func (o Options) chunksPerWorker() int {
-	if o.FusionChunksPerWorker > 0 {
-		return o.FusionChunksPerWorker
-	}
-	return 4
-}
+const (
+	// replicationThreshold is the paper's R: an external vertex with at
+	// least R parallel edges into/out of one subgraph is replicated as a
+	// proxy.
+	replicationThreshold = 3
+	// fusionChunksPerWorker drives chunked task fusion (subgraphChunks):
+	// lower-layer fan-outs pack the touched subgraphs into about this many
+	// edge-weight-balanced chunks per pool worker instead of one task per
+	// subgraph.
+	fusionChunksPerWorker = 4
+)
 
 func (o Options) replication() int {
 	if o.DisableReplication {
 		return 0
 	}
-	if o.ReplicationThreshold > 0 {
-		return o.ReplicationThreshold
-	}
-	return 3
+	return replicationThreshold
 }
 
 // Layph is the layered incremental engine (implements inc.System).

@@ -46,7 +46,6 @@ import (
 
 	"layph/internal/delta"
 	"layph/internal/graph"
-	"layph/internal/shard"
 	"layph/internal/stream"
 	"layph/internal/wal"
 )
@@ -93,7 +92,6 @@ type Server struct {
 	st       atomic.Pointer[stream.Stream]
 	wal      atomic.Pointer[wal.Log]
 	recovery atomic.Pointer[wal.RecoveryInfo]
-	shards   atomic.Pointer[ShardSource]
 	draining atomic.Bool
 
 	mux       *http.ServeMux
@@ -132,21 +130,6 @@ func (s *Server) AttachDurability(l *wal.Log, info *wal.RecoveryInfo) {
 	}
 	if info != nil {
 		s.recovery.Store(info)
-	}
-}
-
-// ShardSource is the scatter-gather view a sharded engine exposes; the
-// per-shard summaries are served through /metrics. (*shard.Group
-// implements it.)
-type ShardSource interface {
-	ShardInfos() []shard.Info
-}
-
-// AttachShards exposes a sharded engine's per-shard summaries through
-// /metrics. Nil-safe.
-func (s *Server) AttachShards(src ShardSource) {
-	if src != nil {
-		s.shards.Store(&src)
 	}
 }
 
@@ -463,9 +446,6 @@ type engineMetrics struct {
 	SubgraphsParallel int64   `json:"subgraphs_parallel"`
 	PoolUtilization   float64 `json:"pool_utilization"`
 	ReplayedBatches   int64   `json:"replayed_batches,omitempty"`
-	// Sharded execution only (see internal/shard).
-	ShardRounds  int64 `json:"shard_rounds,omitempty"`
-	BoundaryPins int64 `json:"boundary_pins,omitempty"`
 }
 
 // relayerMetrics is the JSON shape of stream.RelayerMetrics — the
@@ -513,8 +493,6 @@ type metricsResponse struct {
 	// Server.AttachDurability).
 	WAL      *walMetrics       `json:"wal,omitempty"`
 	Recovery *wal.RecoveryInfo `json:"recovery,omitempty"`
-	// Shards appears only on a sharded engine (see Server.AttachShards).
-	Shards []shard.Info `json:"shards,omitempty"`
 	// Relayer appears only when the stream runs the re-layering drift
 	// controller (StreamConfig.Relayer).
 	Relayer *relayerMetrics `json:"relayer,omitempty"`
@@ -551,13 +529,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			SubgraphsParallel: m.Engine.SubgraphsParallel,
 			PoolUtilization:   m.Engine.PoolUtilization,
 			ReplayedBatches:   m.Engine.ReplayedBatches,
-			ShardRounds:       m.Engine.ShardRounds,
-			BoundaryPins:      m.Engine.BoundaryPins,
 		},
 		Recovery: s.recovery.Load(),
-	}
-	if src := s.shards.Load(); src != nil {
-		resp.Shards = (*src).ShardInfos()
 	}
 	if rl := m.Relayer; rl.Enabled {
 		resp.Relayer = &relayerMetrics{

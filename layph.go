@@ -55,7 +55,6 @@ import (
 	"layph/internal/kickstarter"
 	"layph/internal/risgraph"
 	"layph/internal/server"
-	"layph/internal/shard"
 	"layph/internal/stream"
 )
 
@@ -154,28 +153,17 @@ type Config struct {
 	Threads int
 	// MaxCommunitySize is the paper's K (0 = ~0.1% of |V|).
 	MaxCommunitySize int
-	// ReplicationThreshold is the paper's R (0 = 3).
-	ReplicationThreshold int
 	// DisableReplication turns vertex replication off (Figure 8 ablation).
 	DisableReplication bool
-	// FusionChunksPerWorker tunes chunked task fusion: the lower-layer
-	// fan-outs pack touched subgraphs into about this many edge-weight-
-	// balanced chunks per pool worker instead of one task per subgraph
-	// (0 = default 4). Chunk boundaries are a pure function of the sorted
-	// subgraph list, the thread count and this knob, so the determinism
-	// contract above is unaffected.
-	FusionChunksPerWorker int
 }
 
 // NewLayph builds the layered graph for g under a (offline phase), runs the
 // initial batch computation, and returns the incremental engine.
 func NewLayph(g *Graph, a Algorithm, cfg Config) *core.Layph {
 	return core.New(g, a, core.Options{
-		Workers:               cfg.Threads,
-		ReplicationThreshold:  cfg.ReplicationThreshold,
-		DisableReplication:    cfg.DisableReplication,
-		Community:             community.Config{MaxSize: cfg.MaxCommunitySize},
-		FusionChunksPerWorker: cfg.FusionChunksPerWorker,
+		Workers:            cfg.Threads,
+		DisableReplication: cfg.DisableReplication,
+		Community:          community.Config{MaxSize: cfg.MaxCommunitySize},
 	})
 }
 
@@ -282,50 +270,6 @@ var (
 // by pushing updates into the stream.
 func NewStream(g *Graph, sys System, cfg StreamConfig) *Stream {
 	return stream.New(g, sys, cfg)
-}
-
-// ShardedGroup is the multi-shard execution mode: K community-partitioned
-// engines exchanging boundary state (see internal/shard). It implements
-// System.
-type ShardedGroup = shard.Group
-
-// ShardInfo is a per-shard summary exposed through ShardedGroup.ShardInfos
-// and the HTTP /metrics endpoint.
-type ShardInfo = shard.Info
-
-// ShardConfig tunes sharded execution.
-type ShardConfig struct {
-	// Shards is K, the number of partitioned engines (0 or 1 = one).
-	Shards int
-	// Threads is the worker count of each shard engine (0 = GOMAXPROCS).
-	Threads int
-	// MaxCommunitySize caps community size for the shard packing
-	// (0 = the paper's default, ~0.1% of |V|).
-	MaxCommunitySize int
-}
-
-// NewShardedSystem partitions g into cfg.Shards community-aware shards,
-// runs one incremental engine per shard, and routes cross-shard edges
-// through boundary vertices exchanged at skeleton level each batch. The
-// determinism contract matches Config.Threads: with Shards and Threads
-// fixed, min-semiring results are byte-identical across runs; sum-semiring
-// results (and results across different shard counts) agree within the
-// algorithm's convergence tolerance.
-func NewShardedSystem(g *Graph, a Algorithm, cfg ShardConfig) *ShardedGroup {
-	return shard.New(g, a, shard.Options{
-		Shards:    cfg.Shards,
-		Threads:   cfg.Threads,
-		Community: community.Config{MaxSize: cfg.MaxCommunitySize},
-	})
-}
-
-// NewShardedStream is NewStream over a sharded execution group: incoming
-// micro-batches are split by destination shard, the shard engines run
-// concurrently, and every published snapshot is the deterministic merge of
-// one global exchange round — so /query reads spanning shards are always
-// mutually consistent.
-func NewShardedStream(g *Graph, a Algorithm, cfg ShardConfig, scfg StreamConfig) *Stream {
-	return stream.New(g, NewShardedSystem(g, a, cfg), scfg)
 }
 
 // ParseUpdate parses one line of the text wire format used by `layph
