@@ -17,14 +17,15 @@ import (
 // states (and dependency parents for idempotent algorithms).
 func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 	l := &Layph{
-		g:          g,
-		a:          a,
-		sr:         a.Semiring(),
-		opt:        opt,
-		subs:       make(map[int32]*Subgraph),
-		entryProxy: make(map[proxyKey]graph.VertexID),
-		exitProxy:  make(map[proxyKey]graph.VertexID),
-		LastPhases: metrics.NewPhases(),
+		g:              g,
+		a:              a,
+		sr:             a.Semiring(),
+		opt:            opt,
+		subs:           make(map[int32]*Subgraph),
+		entryProxy:     make(map[proxyKey]graph.VertexID),
+		exitProxy:      make(map[proxyKey]graph.VertexID),
+		entryProxiesOf: make(map[graph.VertexID][]graph.VertexID),
+		LastPhases:     metrics.NewPhases(),
 	}
 	l.pool = pool.New(opt.Workers)
 	l.tol = opt.Tolerance
@@ -80,10 +81,10 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 			l.subOf[v] = c
 		}
 		for _, h := range d.entryHosts {
-			s.proxies = append(s.proxies, l.allocProxy(l.entryProxy, c, h))
+			s.proxies = append(s.proxies, l.allocProxy(true, c, h))
 		}
 		for _, h := range d.exitHosts {
-			s.proxies = append(s.proxies, l.allocProxy(l.exitProxy, c, h))
+			s.proxies = append(s.proxies, l.allocProxy(false, c, h))
 		}
 		l.subs[c] = s
 	}
@@ -108,7 +109,7 @@ func New(g *graph.Graph, a algo.Algorithm, opt Options) *Layph {
 		all[v] = graph.VertexID(v)
 	}
 	l.recomputeRoles(all)
-	scActs, _ := l.buildSubgraphs(subgraphList(l.subs))
+	scActs, _ := l.buildSubgraphs(subgraphList(l.subs), nil)
 	l.OfflineStats.ShortcutActivations += scActs
 	l.OfflineStats.ShortcutCount = l.ShortcutCount()
 	l.OfflineStats.DenseSubgraphs = len(l.subs)
@@ -158,23 +159,28 @@ func sortSubgraphs(subs []*Subgraph) {
 	sort.Slice(subs, func(a, b int) bool { return subs[a].ID < subs[b].ID })
 }
 
-// buildSubgraphs (re)constructs each listed subgraph — member
-// classification, local frame, full shortcut deduction — and returns the
-// total F applications spent plus the number of pool tasks dispatched.
-// The fan-out axis adapts to the work shape: with several subgraphs, one
-// pool task per fused chunk of subgraphs (entries within each deduced
-// sequentially); with a single subgraph, the per-entry deductions
-// fan out instead. One level of fan-out either way keeps the pool's
-// busy-time accounting exact (no task ever blocks inside another task);
-// the pool's inline fallback would keep even accidental nesting
-// deadlock-free. Tasks write only their own subgraph and read shared
-// structure that is frozen for the duration of the fan-out.
-func (l *Layph) buildSubgraphs(subs []*Subgraph) (int64, int64) {
+// buildSubgraphs is the one shortcut-maintenance fan-out, for New and
+// Update alike: a subgraph with an entry in revs keeps its members and
+// proxies and is revised in place (reviseShortcuts); any other is built
+// from scratch (buildSubgraph). It returns the total F applications spent
+// plus the number of pool tasks dispatched. The fan-out axis adapts to the
+// work shape: with several subgraphs, one pool task per fused chunk of
+// subgraphs (entries within each handled sequentially); with a single
+// subgraph, the per-entry work fans out instead. One level of fan-out
+// either way keeps the pool's busy-time accounting exact (no task ever
+// blocks inside another task); the pool's inline fallback would keep even
+// accidental nesting deadlock-free. Tasks write only their own subgraph
+// and read shared structure that is frozen for the duration of the
+// fan-out.
+func (l *Layph) buildSubgraphs(subs []*Subgraph, revs map[int32]*revision) (int64, int64) {
+	maintain := func(s *Subgraph, parallelEntries bool) int64 {
+		if r := revs[s.ID]; r != nil {
+			return l.reviseShortcuts(s, r, parallelEntries)
+		}
+		return l.buildSubgraph(s, parallelEntries)
+	}
 	if len(subs) == 1 {
-		s := subs[0]
-		l.classifyMembers(s)
-		l.buildLocalFrame(s)
-		return l.deduceShortcutsPar(s, true), 1
+		return maintain(subs[0], true), 1
 	}
 	chunks := l.subgraphChunks(subs)
 	acts := make([]int64, len(chunks))
@@ -184,9 +190,7 @@ func (l *Layph) buildSubgraphs(subs []*Subgraph) (int64, int64) {
 		grp.Go(func() {
 			var a int64
 			for _, s := range ch {
-				l.classifyMembers(s)
-				l.buildLocalFrame(s)
-				a += l.deduceShortcutsPar(s, false)
+				a += maintain(s, false)
 			}
 			acts[i] = a
 		})

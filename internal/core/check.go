@@ -30,6 +30,24 @@ func (l *Layph) CheckInvariants() error {
 			return fmt.Errorf("vertex %d: origCap=%d but proxyHost=%v", v, l.origCap, l.proxyHost[v])
 		}
 	}
+	// Flat rows match their derivation from the graph and the proxy
+	// registries (a row left stale by a proxy change elsewhere breaks
+	// message equivalence without upsetting any mirror below).
+	for v := 0; v < n; v++ {
+		want := l.computeFlatOut(graph.VertexID(v))
+		if len(want) != len(l.flatOut[v]) {
+			return fmt.Errorf("flat row of %d stale: %d edges, want %d", v, len(l.flatOut[v]), len(want))
+		}
+		wm := make(map[graph.VertexID]float64, len(want))
+		for _, e := range want {
+			wm[e.To] = e.W
+		}
+		for _, e := range l.flatOut[v] {
+			if w, ok := wm[e.To]; !ok || w != e.W {
+				return fmt.Errorf("flat edge (%d,%d,%v) stale", v, e.To, e.W)
+			}
+		}
+	}
 	// flatIn mirrors flatOut.
 	inCount := 0
 	for v := 0; v < n; v++ {

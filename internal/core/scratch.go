@@ -62,17 +62,13 @@ type updScratch struct {
 	touched    vset
 	dirtyRoles vset
 	upDirty    vset
-	oldRoles   []Role // parallel to the role-candidate prefix of dirtyRoles
+	oldRoles   []Role // pre-batch roles, parallel to dirtyRoles.list
 
 	// oldSeen guards first-touch snapshots of pre-batch out-lists; oldRows
 	// carries the rows (parallel to oldSeen.list). Both are exposed via
 	// layeredDiff and only valid for the Update call that filled them.
 	oldSeen vset
 	oldRows [][]engine.WEdge
-
-	// hostProxies maps a host to its live entry proxies; rebuilt each
-	// update but reused so the buckets stay warm.
-	hostProxies map[graph.VertexID][]graph.VertexID
 
 	// updateMin working sets.
 	repair    vset

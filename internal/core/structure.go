@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"layph/internal/engine"
@@ -22,12 +23,11 @@ func (l *Layph) commOf(v graph.VertexID) int32 {
 // denseDecision is the outcome of evaluating one community for dense-
 // subgraph status (Definition 2) including prospective vertex replication.
 type denseDecision struct {
-	dense       bool
-	entryHosts  []graph.VertexID // external sources to replicate (entry side)
-	exitHosts   []graph.VertexID // external targets to replicate (exit side)
-	numEntries  int
-	numExits    int
-	numInternal int
+	dense      bool
+	entryHosts []graph.VertexID // external sources to replicate (entry side)
+	exitHosts  []graph.VertexID // external targets to replicate (exit side)
+	numEntries int
+	numExits   int
 }
 
 // evaluateCommunity counts boundary vertices and internal edges of the
@@ -110,18 +110,42 @@ func (l *Layph) evaluateCommunity(c int32, members []graph.VertexID) denseDecisi
 	}
 	d.numEntries = len(entries) + len(d.entryHosts)
 	d.numExits = len(exits) + len(d.exitHosts)
-	d.numInternal = len(members) - len(entries) - len(exits) // approximate; overlap ignored
 	d.dense = d.numEntries*d.numExits < internalEdges
 	return d
+}
+
+// keepsProxies reports whether decision dec wants exactly s's live proxies.
+// Every live proxy of s is in s.proxies, so equal counts plus every wanted
+// host present means equal sets.
+func (l *Layph) keepsProxies(s *Subgraph, dec denseDecision) bool {
+	if len(dec.entryHosts)+len(dec.exitHosts) != len(s.proxies) {
+		return false
+	}
+	for _, h := range dec.entryHosts {
+		if !l.hasProxy(l.entryProxy, s.ID, h) {
+			return false
+		}
+	}
+	for _, h := range dec.exitHosts {
+		if !l.hasProxy(l.exitProxy, s.ID, h) {
+			return false
+		}
+	}
+	return true
 }
 
 func sortVertices(vs []graph.VertexID) {
 	sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
 }
 
-// allocProxy returns the proxy id for (sub, host) in the given registry,
-// allocating a fresh flat vertex when absent, and revives it if orphaned.
-func (l *Layph) allocProxy(reg map[proxyKey]graph.VertexID, sub int32, host graph.VertexID) graph.VertexID {
+// allocProxy returns the proxy id for (sub, host) in the entry- or
+// exit-side registry, allocating a fresh flat vertex when absent, and
+// revives it if orphaned.
+func (l *Layph) allocProxy(entrySide bool, sub int32, host graph.VertexID) graph.VertexID {
+	reg := l.exitProxy
+	if entrySide {
+		reg = l.entryProxy
+	}
 	k := proxyKey{sub: sub, host: host}
 	if p, ok := reg[k]; ok {
 		l.proxyAlive[p] = true
@@ -130,6 +154,9 @@ func (l *Layph) allocProxy(reg map[proxyKey]graph.VertexID, sub int32, host grap
 	}
 	p := graph.VertexID(l.flatN())
 	reg[k] = p
+	if entrySide {
+		l.entryProxiesOf[host] = append(l.entryProxiesOf[host], p)
+	}
 	l.subOf = append(l.subOf, sub)
 	l.role = append(l.role, RoleInternal) // refined by recomputeRoles
 	l.proxyHost = append(l.proxyHost, host)
@@ -220,25 +247,7 @@ func (l *Layph) refreshFlatVertex(v graph.VertexID) (old, added, removed []engin
 	old = l.flatOut[v]
 	fresh := l.computeFlatOut(v)
 	l.flatOut[v] = fresh
-
-	oldM := make(map[graph.VertexID]float64, len(old))
-	for _, e := range old {
-		oldM[e.To] = e.W
-	}
-	for _, e := range fresh {
-		if w, ok := oldM[e.To]; ok && w == e.W {
-			delete(oldM, e.To)
-			continue
-		}
-		if w, ok := oldM[e.To]; ok {
-			removed = append(removed, engine.WEdge{To: e.To, W: w})
-			delete(oldM, e.To)
-		}
-		added = append(added, e)
-	}
-	for to, w := range oldM {
-		removed = append(removed, engine.WEdge{To: to, W: w})
-	}
+	added, removed = diffRows(old, fresh)
 	for _, e := range removed {
 		l.flatIn[e.To] = dropEdge(l.flatIn[e.To], v)
 	}
@@ -246,6 +255,34 @@ func (l *Layph) refreshFlatVertex(v graph.VertexID) (old, added, removed []engin
 		l.flatIn[e.To] = append(l.flatIn[e.To], engine.WEdge{To: v, W: e.W})
 	}
 	return old, added, removed
+}
+
+// diffRows returns the edges that differ between an old and a fresh
+// out-list, by target and weight; a reweighted edge lands in both.
+func diffRows(old, fresh []engine.WEdge) (added, removed []engine.WEdge) {
+	if slices.Equal(old, fresh) {
+		return nil, nil
+	}
+	oldW := make(map[graph.VertexID]float64, len(old))
+	for _, e := range old {
+		oldW[e.To] = e.W
+	}
+	for _, e := range fresh {
+		if w, ok := oldW[e.To]; ok {
+			delete(oldW, e.To)
+			if w == e.W {
+				continue
+			}
+			removed = append(removed, engine.WEdge{To: e.To, W: w})
+		}
+		added = append(added, e)
+	}
+	for _, e := range old {
+		if _, ok := oldW[e.To]; ok {
+			removed = append(removed, e)
+		}
+	}
+	return added, removed
 }
 
 func dropEdge(list []engine.WEdge, to graph.VertexID) []engine.WEdge {
@@ -311,152 +348,129 @@ func (l *Layph) buildLocalFrame(s *Subgraph) {
 	lf.absorbOut = make([][]engine.WEdge, len(lf.ids))
 	lf.absorbIn = make([][]engine.WEdge, len(lf.ids))
 	for ci, v := range lf.ids {
-		for _, e := range l.flatOut[v] {
-			if tj, ok := l.compactID(s, e.To); ok {
-				lf.out[ci] = append(lf.out[ci], engine.WEdge{To: graph.VertexID(tj), W: e.W})
-			}
-		}
-		lf.edges += len(lf.out[ci])
-		if !l.role[v].IsEntry() {
-			lf.absorbOut[ci] = lf.out[ci]
+		lf.setRow(graph.VertexID(ci), l.localRow(s, v), l.role[v].IsEntry())
+	}
+}
+
+// localRow projects v's flat out-list onto s's compact IDs.
+func (l *Layph) localRow(s *Subgraph, v graph.VertexID) []engine.WEdge {
+	var row []engine.WEdge
+	for _, e := range l.flatOut[v] {
+		if tj, ok := l.compactID(s, e.To); ok {
+			row = append(row, engine.WEdge{To: graph.VertexID(tj), W: e.W})
 		}
 	}
-	for ci := range lf.absorbOut {
-		for _, e := range lf.absorbOut[ci] {
-			lf.absorbIn[e.To] = append(lf.absorbIn[e.To], engine.WEdge{To: graph.VertexID(ci), W: e.W})
+	return row
+}
+
+// setRow replaces compact vertex c's row. An entry's row stays out of the
+// absorbing frame; absorbIn mirrors absorbOut.
+func (lf *localFrame) setRow(c graph.VertexID, row []engine.WEdge, entry bool) {
+	for _, e := range lf.absorbOut[c] {
+		lf.absorbIn[e.To] = dropEdge(lf.absorbIn[e.To], c)
+	}
+	lf.edges += len(row) - len(lf.out[c])
+	lf.out[c] = row
+	lf.absorbOut[c] = nil
+	if !entry {
+		lf.absorbOut[c] = row
+		for _, e := range row {
+			lf.absorbIn[e.To] = append(lf.absorbIn[e.To], engine.WEdge{To: c, W: e.W})
 		}
 	}
 }
 
-// deduceShortcuts runs Equation (6) for every entry vertex of the subgraph:
-// inject the semiring unit at the entry, run the local fixpoint over the
-// compact frame, and read off the aggregates as shortcut weights, fanning
-// the independent per-entry deductions out over the worker pool. Returns
-// the F applications spent.
-func (l *Layph) deduceShortcuts(s *Subgraph) int64 {
-	return l.deduceShortcutsPar(s, true)
-}
-
-// deduceShortcutsPar is deduceShortcuts with an explicit fan-out switch:
-// callers already running one task per subgraph pass parallelEntries=false
-// so entry deductions stay sequential inside the task — one level of
-// fan-out keeps pool busy-time accounting exact (see buildSubgraphs).
-func (l *Layph) deduceShortcutsPar(s *Subgraph, parallelEntries bool) int64 {
-	lf := s.Local
-	k := lf.size()
-	var acts int64
-	zero := l.sr.Zero()
+// buildSubgraph (re)constructs s from scratch: member classification, local
+// frame, and a deduction for every entry. Returns the F applications spent.
+func (l *Layph) buildSubgraph(s *Subgraph, parallelEntries bool) int64 {
+	l.classifyMembers(s)
+	l.buildLocalFrame(s)
+	k := s.Local.size()
 	s.scToB = make([][]engine.WEdge, k)
 	s.scToI = make([][]engine.WEdge, k)
 	s.scVec = make([][]float64, k)
+	s.scParent = nil
 	if l.sr.Idempotent() {
 		s.scParent = make([][]graph.VertexID, k)
-	} else {
-		s.scParent = nil
 	}
-	// Shortcut weights count internal paths whose intermediate vertices are
-	// not entries (the source included): the unit message is emitted over
-	// the source's out-edges directly and the fixpoint runs on the fully
-	// absorbing frame. Through-entry and revisiting paths are then covered
-	// exactly once by shortcut composition on Lup (including the self-
-	// shortcut for sum-semiring cycles back to the entry).
-	//
-	// Each entry's fixpoint only reads the frozen local frame, so the
-	// per-entry deductions can fan out over the worker pool; the shared
-	// shortcut maps are filled sequentially after the join, in entry
-	// order, keeping results deterministic.
-	frame := &engine.Frame{Out: lf.absorbOut}
-	type entryRes struct {
-		vec  []float64
-		par  []graph.VertexID
-		acts int64
-	}
-	deduceEntry := func(u graph.VertexID) entryRes {
-		cu := l.localIdx[u]
-		x0 := make([]float64, k)
-		m0 := make([]float64, k)
-		for j := range x0 {
-			x0[j] = zero
-			m0[j] = zero
-		}
-		var a int64
-		for _, e := range lf.out[cu] {
-			m0[e.To] = l.sr.Plus(m0[e.To], l.sr.Times(l.sr.One(), e.W))
-			a++
-		}
-		res := engine.Run(frame, l.sr, x0, m0, engine.Options{
-			Workers:   1,
-			Tolerance: l.scTol(),
-		})
-		a += res.Activations
-		er := entryRes{vec: res.X, acts: a}
-		if s.scParent != nil {
-			par := make([]graph.VertexID, k)
-			for ci := range par {
-				par[ci] = l.scWitness(s, u, res.X, graph.VertexID(ci))
-			}
-			er.par = par
-		}
-		return er
-	}
-	results := make([]entryRes, len(s.Entries))
-	if parallelEntries {
+	return l.forEntries(s.Entries, parallelEntries, func(u graph.VertexID) int64 {
+		return l.deduceEntry(s, u)
+	})
+}
+
+// forEntries runs fn for each listed entry — over the worker pool when
+// parallel, in order otherwise — and sums the activations fn returns. fn
+// must write only its own entry's slots. Callers already running one task
+// per subgraph pass parallel=false: one level of fan-out keeps pool
+// busy-time accounting exact (see buildSubgraphs).
+func (l *Layph) forEntries(entries []graph.VertexID, parallel bool, fn func(u graph.VertexID) int64) int64 {
+	acts := make([]int64, len(entries))
+	if parallel {
 		grp := l.pool.Group()
-		for i, u := range s.Entries {
+		for i, u := range entries {
 			i, u := i, u
-			grp.Go(func() { results[i] = deduceEntry(u) })
+			grp.Go(func() { acts[i] = fn(u) })
 		}
 		grp.Wait()
 	} else {
-		for i, u := range s.Entries {
-			results[i] = deduceEntry(u)
+		for i, u := range entries {
+			acts[i] = fn(u)
 		}
 	}
-	for i, u := range s.Entries {
-		cu := l.localIdx[u]
-		acts += results[i].acts
-		s.scVec[cu] = results[i].vec
-		if s.scParent != nil {
-			s.scParent[cu] = results[i].par
-		}
-		l.rebuildShortcutLists(s, u)
+	var total int64
+	for _, a := range acts {
+		total += a
 	}
-	return acts
+	return total
 }
 
-// scWitness finds a compact dependency parent for target ci in entry u's
-// shortcut vector: an absorbing-frame in-neighbor (or u's own direct edge)
-// whose value composes to vec[ci] within rounding.
-func (l *Layph) scWitness(s *Subgraph, u graph.VertexID, vec []float64, ci graph.VertexID) graph.VertexID {
-	zero := l.sr.Zero()
-	if vec[ci] == zero {
-		return engine.NoParent
-	}
+// deduceEntry runs Equation (6) for entry u from scratch: inject the
+// semiring unit at u, run the local fixpoint over the compact frame, and
+// memoize the aggregates as u's shortcut vector (with compact dependency
+// parents for idempotent algorithms) and shortcut lists. It reads only the
+// frame and writes only u's slots, so entries deduce concurrently. Returns
+// the F applications spent.
+//
+// Shortcut weights count internal paths whose intermediate vertices are
+// not entries (the source included): the unit message is emitted over the
+// source's out-edges directly and the fixpoint runs on the fully absorbing
+// frame. Through-entry and revisiting paths are then covered exactly once
+// by shortcut composition on Lup (including the self-shortcut for
+// sum-semiring cycles back to the entry).
+func (l *Layph) deduceEntry(s *Subgraph, u graph.VertexID) int64 {
 	lf := s.Local
+	k := lf.size()
 	cu := l.localIdx[u]
-	eps := 1e-9 * (1 + absF(vec[ci]))
+	zero := l.sr.Zero()
+	x0 := make([]float64, k)
+	m0 := make([]float64, k)
+	for j := range x0 {
+		x0[j], m0[j] = zero, zero
+	}
+	var acts int64
 	for _, e := range lf.out[cu] {
-		if e.To == ci && absF(l.sr.Times(l.sr.One(), e.W)-vec[ci]) <= eps {
-			return graph.VertexID(cu)
-		}
+		m0[e.To] = l.sr.Plus(m0[e.To], l.sr.Times(l.sr.One(), e.W))
+		acts++
 	}
-	for _, ie := range lf.absorbIn[ci] {
-		a := ie.To
-		if vec[a] == zero {
-			continue
+	res := engine.Run(&engine.Frame{Out: lf.absorbOut}, l.sr, x0, m0, engine.Options{
+		Workers:      1,
+		Tolerance:    l.scTol(),
+		TrackParents: s.scParent != nil,
+	})
+	acts += res.Activations
+	s.scVec[cu] = res.X
+	if s.scParent != nil {
+		// The engine's parents form a dependency tree even over zero-weight
+		// cycles; values that came straight from the seed hang off u.
+		for ci, p := range res.Parent {
+			if p == engine.NoParent && res.X[ci] != zero {
+				res.Parent[ci] = graph.VertexID(cu)
+			}
 		}
-		if absF(l.sr.Times(vec[a], ie.W)-vec[ci]) <= eps {
-			return a
-		}
+		s.scParent[cu] = res.Parent
 	}
-	return engine.NoParent
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	l.rebuildShortcutLists(s, u)
+	return acts
 }
 
 // rebuildShortcutLists re-derives entry u's shortcut lists from its
@@ -490,86 +504,91 @@ func (l *Layph) rebuildShortcutLists(s *Subgraph, u graph.VertexID) {
 	s.scToI[cu] = toI
 }
 
-// updateShortcutsIncremental absorbs internal edge diffs into every entry's
-// memoized shortcut vector with revision messages — the paper's incremental
-// shortcut weight update — instead of re-deducing from scratch. The caller
-// guarantees the subgraph's membership, roles and proxies are unchanged.
-// Returns the F applications spent.
-func (l *Layph) updateShortcutsIncremental(s *Subgraph, added, removed []flatEdge) int64 {
+// revision is what moved inside a subgraph that keeps its members and
+// proxies through a batch.
+type revision struct {
+	// srcs are members whose frame row may have changed: sources of
+	// intra-subgraph flat diffs and members whose role flipped.
+	srcs []graph.VertexID
+	// flipped reports a member role flip (exit-only ones included), which
+	// re-partitions the member lists and every entry's shortcut lists.
+	flipped bool
+}
+
+// reviseShortcuts is the paper's incremental shortcut maintenance (Section
+// IV-B) for a subgraph that keeps its members and proxies: it rewrites the
+// frame rows of r.srcs and moves the memoized entry vectors with the frame
+// instead of re-deducing the subgraph.
+//
+// Every change is a row diff of the absorbing frame, taken between the
+// stored (pre-batch) row and the current one: an intra-edge change moves a
+// non-entry's row, a vertex that became an entry loses its whole row, and
+// one that stopped being an entry gains it. An entry that was one before
+// and still is absorbs those diffs, plus the diff of its own full row (its
+// seed), through revision messages; a new entry gets one from-scratch
+// deduction; a retired entry drops its vector. Returns the F applications
+// spent.
+func (l *Layph) reviseShortcuts(s *Subgraph, r *revision, parallelEntries bool) int64 {
 	lf := s.Local
-	zero := l.sr.Zero()
-	var acts int64
-
-	// Map diffs to compact IDs; rebuild the compact adjacency rows of the
-	// changed sources first. changedSrc is a k-sized scoreboard, not a
-	// map: diffs arrive in deterministic order and k is subgraph-sized.
-	var cAdded, cRemoved []cDiff
-	changedSrc := make([]bool, lf.size())
-	var changedList []graph.VertexID
-	markSrc := func(cf graph.VertexID) {
-		if !changedSrc[cf] {
-			changedSrc[cf] = true
-			changedList = append(changedList, cf)
-		}
-	}
-	for _, e := range added {
-		cf, okF := l.compactID(s, e.from)
-		ct, okT := l.compactID(s, e.to)
-		if okF && okT {
-			cAdded = append(cAdded, cDiff{graph.VertexID(cf), graph.VertexID(ct), e.w})
-			markSrc(graph.VertexID(cf))
-		}
-	}
-	for _, e := range removed {
-		cf, okF := l.compactID(s, e.from)
-		ct, okT := l.compactID(s, e.to)
-		if okF && okT {
-			cRemoved = append(cRemoved, cDiff{graph.VertexID(cf), graph.VertexID(ct), e.w})
-			markSrc(graph.VertexID(cf))
-		}
-	}
-	if len(cAdded) == 0 && len(cRemoved) == 0 {
-		return 0
-	}
-	for _, cf := range changedList {
-		v := lf.ids[cf]
-		var row []engine.WEdge
-		for _, e := range l.flatOut[v] {
-			if tj, ok := l.compactID(s, e.To); ok {
-				row = append(row, engine.WEdge{To: graph.VertexID(tj), W: e.W})
-			}
-		}
-		// Update absorbIn by diffing the old row.
-		oldRow := lf.out[cf]
-		lf.out[cf] = row
-		lf.edges += len(row) - len(oldRow)
-		isEntry := l.role[v].IsEntry()
-		if !isEntry {
-			for _, e := range oldRow {
-				lf.absorbIn[e.To] = dropEdge(lf.absorbIn[e.To], cf)
-			}
-			for _, e := range row {
-				lf.absorbIn[e.To] = append(lf.absorbIn[e.To], engine.WEdge{To: cf, W: e.W})
-			}
-			lf.absorbOut[cf] = row
-		}
-	}
-
-	frame := &engine.Frame{Out: lf.absorbOut}
-	for _, u := range s.Entries {
-		cu := l.localIdx[u]
-		vec := s.scVec[cu]
-		if vec == nil {
+	done := make([]bool, lf.size())
+	var added, removed []cDiff // absorbing-frame diffs: they move every vector
+	seedAdded := make(map[graph.VertexID][]cDiff)
+	seedRemoved := make(map[graph.VertexID][]cDiff)
+	for _, v := range r.srcs {
+		ci, ok := l.compactID(s, v)
+		if !ok || done[ci] {
 			continue
 		}
-		if l.sr.Idempotent() {
-			acts += l.updateEntryMin(s, u, cu, vec, frame, cAdded, cRemoved)
-		} else {
-			acts += l.updateEntrySum(s, u, cu, vec, frame, cAdded, cRemoved)
+		done[ci] = true
+		c := graph.VertexID(ci)
+		row := l.localRow(s, v)
+		entry := l.role[v].IsEntry()
+		var absorb []engine.WEdge
+		if !entry {
+			absorb = row
+		}
+		a, rm := diffRows(lf.absorbOut[c], absorb)
+		added, removed = appendDiffs(added, c, a), appendDiffs(removed, c, rm)
+		if entry && s.scVec[c] != nil {
+			a, rm = diffRows(lf.out[c], row)
+			seedAdded[c], seedRemoved[c] = appendDiffs(nil, c, a), appendDiffs(nil, c, rm)
+		}
+		lf.setRow(c, row, entry)
+	}
+	if r.flipped {
+		l.classifyMembers(s)
+		for ci, vec := range s.scVec {
+			if vec != nil && !l.role[lf.ids[ci]].IsEntry() {
+				s.scVec[ci], s.scToB[ci], s.scToI[ci] = nil, nil, nil
+				if s.scParent != nil {
+					s.scParent[ci] = nil
+				}
+			}
 		}
 	}
-	_ = zero
-	return acts
+	return l.forEntries(s.Entries, parallelEntries, func(u graph.VertexID) int64 {
+		cu := graph.VertexID(l.localIdx[u])
+		if s.scVec[cu] == nil {
+			return l.deduceEntry(s, u)
+		}
+		add, del := added, removed
+		if sa, sd := seedAdded[cu], seedRemoved[cu]; len(sa)+len(sd) > 0 {
+			add, del = append(sa, added...), append(sd, removed...)
+		}
+		var acts int64
+		moved := false
+		if len(add)+len(del) > 0 {
+			if l.sr.Idempotent() {
+				acts, moved = l.updateEntryMin(s, u, add, del)
+			} else {
+				acts, moved = l.updateEntrySum(s, cu, add, del)
+			}
+		}
+		if moved || r.flipped {
+			l.rebuildShortcutLists(s, u)
+		}
+		return acts
+	})
 }
 
 // cDiff is an internal edge diff in a subgraph's compact ID space.
@@ -578,44 +597,51 @@ type cDiff struct {
 	w        float64
 }
 
-// updateEntrySum applies exact inverse deltas for one entry's vector.
-func (l *Layph) updateEntrySum(s *Subgraph, u graph.VertexID, cu int32, vec []float64,
-	frame *engine.Frame, added, removed []cDiff) int64 {
-	k := len(vec)
-	pending := make([]float64, k)
+// appendDiffs appends row c's edges to ds as compact diffs.
+func appendDiffs(ds []cDiff, c graph.VertexID, es []engine.WEdge) []cDiff {
+	for _, e := range es {
+		ds = append(ds, cDiff{c, e.To, e.W})
+	}
+	return ds
+}
+
+// updateEntrySum applies exact inverse deltas for entry cu's vector and
+// reports whether it moved. A diff either leaves cu itself (its seed) or
+// leaves a vertex that is a non-entry in the frame the diff belongs to, so
+// its contribution is the vertex's pre-revision value times the weight —
+// no role lookup involved.
+func (l *Layph) updateEntrySum(s *Subgraph, cu graph.VertexID, added, removed []cDiff) (int64, bool) {
+	vec := s.scVec[cu]
+	pending := make([]float64, len(vec))
 	var acts int64
 	seeded := false
-	contrib := func(from graph.VertexID, w float64) float64 {
-		if from == graph.VertexID(cu) {
-			return l.sr.One() * w // direct seed edge from the entry
+	contrib := func(e cDiff) float64 {
+		if e.from == cu {
+			return l.sr.One() * e.w // direct seed edge from the entry
 		}
-		if l.role[s.Local.ids[from]].IsEntry() {
-			return 0 // other entries are absorbing: their edges carry nothing
-		}
-		return vec[from] * w
+		return vec[e.from] * e.w
 	}
 	for _, e := range removed {
-		if m := contrib(e.from, e.w); m != 0 {
+		if m := contrib(e); m != 0 {
 			pending[e.to] -= m
 			seeded = true
 			acts++
 		}
 	}
 	for _, e := range added {
-		if m := contrib(e.from, e.w); m != 0 {
+		if m := contrib(e); m != 0 {
 			pending[e.to] += m
 			seeded = true
 			acts++
 		}
 	}
 	if !seeded {
-		return acts
+		return acts, false
 	}
-	res := engine.Run(frame, l.sr, vec, pending, engine.Options{Workers: 1, Tolerance: l.scTol()})
+	res := engine.Run(&engine.Frame{Out: s.Local.absorbOut}, l.sr, vec, pending, engine.Options{Workers: 1, Tolerance: l.scTol()})
 	acts += res.Activations
 	s.scVec[cu] = res.X
-	l.rebuildShortcutLists(s, u)
-	return acts
+	return acts, true
 }
 
 // scTol is the tolerance of shortcut-maintenance fixpoints: tighter than the
@@ -623,11 +649,13 @@ func (l *Layph) updateEntrySum(s *Subgraph, u graph.VertexID, cu int32, vec []fl
 // update, so truncation would accumulate across batches.
 func (l *Layph) scTol() float64 { return l.tol * 1e-2 }
 
-// updateEntryMin applies ⊥-cancellation resets and recomputation for one
-// entry's vector.
-func (l *Layph) updateEntryMin(s *Subgraph, u graph.VertexID, cu int32, vec []float64,
-	frame *engine.Frame, added, removed []cDiff) int64 {
+// updateEntryMin applies ⊥-cancellation resets and recomputation for entry
+// u's vector and reports whether it moved. As in updateEntrySum, a diff
+// leaves u itself or a vertex that is a non-entry in the diff's frame.
+func (l *Layph) updateEntryMin(s *Subgraph, u graph.VertexID, added, removed []cDiff) (int64, bool) {
 	lf := s.Local
+	cu := graph.VertexID(l.localIdx[u])
+	vec := s.scVec[cu]
 	k := len(vec)
 	zero := l.sr.Zero()
 	par := s.scParent[cu]
@@ -645,7 +673,7 @@ func (l *Layph) updateEntryMin(s *Subgraph, u graph.VertexID, cu int32, vec []fl
 		}
 	}
 	for _, e := range removed {
-		if e.from == graph.VertexID(cu) || par[e.to] == e.from {
+		if e.from == cu || par[e.to] == e.from {
 			tag(e.to)
 		}
 	}
@@ -671,12 +699,20 @@ func (l *Layph) updateEntryMin(s *Subgraph, u graph.VertexID, cu int32, vec []fl
 		par[c] = engine.NoParent
 	}
 
+	// Offers seed the revision run; from remembers each winning offer's
+	// source, the parent of a value the run takes straight from its seed.
 	pending := make([]float64, k)
+	from := make([]graph.VertexID, k)
 	for i := range pending {
 		pending[i] = zero
 	}
 	var act []graph.VertexID
 	inAct := make([]bool, k)
+	offer := func(c, src graph.VertexID, m float64) {
+		if l.sr.Plus(pending[c], m) != pending[c] {
+			pending[c], from[c] = l.sr.Plus(pending[c], m), src
+		}
+	}
 	activate := func(c graph.VertexID) {
 		if !inAct[c] {
 			inAct[c] = true
@@ -688,7 +724,7 @@ func (l *Layph) updateEntryMin(s *Subgraph, u graph.VertexID, cu int32, vec []fl
 	for _, c := range resets {
 		for _, e := range lf.out[cu] {
 			if e.To == c {
-				pending[c] = l.sr.Plus(pending[c], l.sr.Times(l.sr.One(), e.W))
+				offer(c, cu, l.sr.Times(l.sr.One(), e.W))
 				acts++
 			}
 		}
@@ -697,10 +733,9 @@ func (l *Layph) updateEntryMin(s *Subgraph, u graph.VertexID, cu int32, vec []fl
 			if tagged[a] || vec[a] == zero {
 				continue
 			}
-			offer := l.sr.Times(vec[a], ie.W)
 			acts++
-			if offer != zero {
-				pending[c] = l.sr.Plus(pending[c], offer)
+			if m := l.sr.Times(vec[a], ie.W); m != zero {
+				offer(c, a, m)
 			}
 		}
 		if pending[c] != zero {
@@ -709,40 +744,38 @@ func (l *Layph) updateEntryMin(s *Subgraph, u graph.VertexID, cu int32, vec []fl
 	}
 	// Compensation candidates from added edges.
 	for _, e := range added {
-		var offer float64
+		var m float64
 		switch {
-		case e.from == graph.VertexID(cu):
-			offer = l.sr.Times(l.sr.One(), e.w)
-		case l.role[lf.ids[e.from]].IsEntry():
-			continue
+		case e.from == cu:
+			m = l.sr.Times(l.sr.One(), e.w)
 		case vec[e.from] != zero:
-			offer = l.sr.Times(vec[e.from], e.w)
+			m = l.sr.Times(vec[e.from], e.w)
 		default:
 			continue
 		}
 		acts++
-		if l.sr.Plus(vec[e.to], offer) != vec[e.to] {
-			pending[e.to] = l.sr.Plus(pending[e.to], offer)
+		if l.sr.Plus(vec[e.to], m) != vec[e.to] {
+			offer(e.to, e.from, m)
 			activate(e.to)
 		}
 	}
 	if len(act) == 0 && len(resets) == 0 {
-		return acts
+		return acts, false
 	}
-	res := engine.Run(frame, l.sr, vec, pending, engine.Options{
-		Workers: 1, Tolerance: l.scTol(), InitialActive: act, TrackChanged: true,
+	res := engine.Run(&engine.Frame{Out: lf.absorbOut}, l.sr, vec, pending, engine.Options{
+		Workers: 1, Tolerance: l.scTol(), InitialActive: act, TrackChanged: true, TrackParents: true,
 	})
 	acts += res.Activations
 	s.scVec[cu] = res.X
-	// Repair compact parents for everything that moved.
+	// Everything that moved takes the run's parent, or its seed offer's
+	// source; reset vertices left unreached keep NoParent.
 	for _, c := range res.Changed {
-		par[c] = l.scWitness(s, u, res.X, c)
+		par[c] = res.Parent[c]
+		if par[c] == engine.NoParent {
+			par[c] = from[c]
+		}
 	}
-	for _, c := range resets {
-		par[c] = l.scWitness(s, u, res.X, c)
-	}
-	l.rebuildShortcutLists(s, u)
-	return acts
+	return acts, true
 }
 
 // computeUpOut derives a flat vertex's upper-layer out-list: flat edges
@@ -774,22 +807,11 @@ func (l *Layph) refreshUpVertex(v graph.VertexID) {
 	old := l.upOut[v]
 	fresh := l.computeUpOut(v)
 	l.upOut[v] = fresh
-	oldM := make(map[graph.VertexID]float64, len(old))
-	for _, e := range old {
-		oldM[e.To] = e.W
+	added, removed := diffRows(old, fresh)
+	for _, e := range removed {
+		l.upIn[e.To] = dropEdge(l.upIn[e.To], v)
 	}
-	for _, e := range fresh {
-		if w, ok := oldM[e.To]; ok && w == e.W {
-			delete(oldM, e.To)
-			continue
-		}
-		if _, ok := oldM[e.To]; ok {
-			l.upIn[e.To] = dropEdge(l.upIn[e.To], v)
-			delete(oldM, e.To)
-		}
+	for _, e := range added {
 		l.upIn[e.To] = append(l.upIn[e.To], engine.WEdge{To: v, W: e.W})
-	}
-	for to := range oldM {
-		l.upIn[to] = dropEdge(l.upIn[to], v)
 	}
 }

@@ -118,8 +118,9 @@ type Subgraph struct {
 	// Memoized per-entry shortcut state for incremental maintenance
 	// (Section IV-B): scVec[cu] holds the local fixpoint values over
 	// compact IDs; scParent[cu] (idempotent algorithms only) the compact
-	// dependency parents, so that internal edge changes are absorbed with
-	// revision messages instead of full re-deduction.
+	// dependency parents, so that frame changes (internal edge changes and
+	// role flips) are absorbed with revision messages instead of full
+	// re-deduction. scVec[cu] is non-nil exactly for the entries.
 	scVec    [][]float64
 	scParent [][]graph.VertexID
 }
@@ -138,7 +139,7 @@ func (s *Subgraph) NumShortcuts() int {
 
 // compactID returns v's compact index within subgraph s, or (-1, false)
 // when v is not a current member. The subOf gate comes first: during
-// parallel per-subgraph rebuilds it keeps a task from reading localIdx
+// the parallel per-subgraph fan-out it keeps a task from reading localIdx
 // slots another task owns (memberships are disjoint and subOf is frozen
 // while tasks are in flight). The ids check then rejects stale slots of
 // dead ex-members whose subOf still points here.
@@ -206,7 +207,7 @@ type proxyKey struct {
 // Options configures layered-graph construction and the online engine.
 type Options struct {
 	// Community configures dense-subgraph discovery; MaxSize is the paper's
-	// K (0 lets Build pick ~0.1% of |V|, clamped to [8, 4096]).
+	// K (0 lets New pick ~0.1% of |V|, clamped to [64, 4096]).
 	Community community.Config
 	// DisableReplication turns vertex replication (see
 	// replicationThreshold) off: Figure 8's ablation.
@@ -274,6 +275,10 @@ type Layph struct {
 	localIdx   []int32
 	entryProxy map[proxyKey]graph.VertexID
 	exitProxy  map[proxyKey]graph.VertexID
+	// entryProxiesOf indexes entryProxy by host (dead proxies included;
+	// readers filter on proxyAlive), so an update finds the proxies of a
+	// changed host without scanning the registry.
+	entryProxiesOf map[graph.VertexID][]graph.VertexID
 
 	// Flat layered graph (original + proxy rewiring, semiring weights).
 	flatOut [][]engine.WEdge

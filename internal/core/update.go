@@ -15,13 +15,13 @@ import (
 //     memberships are frozen between full re-layers, as the paper
 //     prescribes: "we update the dense subgraphs only when enough ΔG are
 //     accumulated"),
-//   - rebuilds the structure (roles, proxies, local frames, shortcuts) of
-//     every dense subgraph touched by the batch — shortcut deletion,
-//     addition and reweighting from the paper collapse into this local
-//     recomputation, which is confined to the affected subgraphs,
 //   - refreshes the flat out-lists of every source whose edges or weights
 //     may have changed, returning the edge-level diff that drives
-//     revision-message deduction, and
+//     revision-message deduction,
+//   - re-decides density and proxies of the subgraphs the batch may have
+//     reshaped, rebuilding or dissolving those whose decision changed,
+//   - revises the shortcuts of every other subgraph whose frame moved
+//     (intra-edge changes and role flips) in place, and
 //   - refreshes the upper-layer skeleton for the dirty vertices.
 type layeredDiff struct {
 	// oldSrc/oldRows snapshot pre-update flat out-lists of touched sources
@@ -34,16 +34,15 @@ type layeredDiff struct {
 	added   []flatEdge
 	removed []flatEdge
 	// affectedSubs are the subgraphs whose interior changed (rebuilt or
-	// incrementally re-shortcut); the upload phase runs local fixpoints on
-	// them.
+	// revised); the upload phase runs local fixpoints on them.
 	affectedSubs map[int32]*Subgraph
-	// rebuiltSubs is the subset whose structure (roles/proxies) was fully
+	// rebuiltSubs is the subset whose structure (members/proxies) was
 	// rebuilt; their proxies' memoized values are invalidated.
 	rebuiltSubs map[int32]*Subgraph
 	// shortcutActivations counts F applications spent maintaining shortcuts.
 	shortcutActivations int64
 	// parallelSubs counts the subgraph tasks dispatched to the worker pool
-	// during shortcut maintenance (rebuilds + incremental updates).
+	// during shortcut maintenance.
 	parallelSubs int64
 }
 
@@ -63,6 +62,7 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	sc.dirtyRoles.reset(l.flatN())
 	sc.oldSeen.reset(l.flatN())
 	sc.oldRows = sc.oldRows[:0]
+	sc.oldRoles = sc.oldRoles[:0]
 
 	// Pass 1: refresh the flat lists of sources whose out-edges (or, for
 	// degree-dependent weights, out-weights) changed: sources of changed
@@ -86,20 +86,12 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	// Entry proxies inherit their host's degree-dependent edge weights, so
 	// any change to a host's out-list dirties every entry proxy replicating
 	// it — in every subgraph, not just the one the changed edge targets.
-	if sc.hostProxies == nil {
-		sc.hostProxies = make(map[graph.VertexID][]graph.VertexID)
-	}
-	clear(sc.hostProxies)
-	hostProxies := sc.hostProxies
-	for k, p := range l.entryProxy {
-		if l.proxyAlive[p] {
-			hostProxies[k.host] = append(hostProxies[k.host], p)
-		}
-	}
 	touchSource := func(u graph.VertexID) {
 		markTouched(u)
-		for _, p := range hostProxies[u] {
-			markTouched(p)
+		for _, p := range l.entryProxiesOf[u] {
+			if l.proxyAlive[p] {
+				markTouched(p)
+			}
 		}
 	}
 	changedEdges := append(append([]graph.DeletedEdge(nil), applied.AddedEdges...), applied.RemovedEdges...)
@@ -141,41 +133,32 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 	for _, v := range sc.touched.list {
 		refresh(v)
 	}
+	// recomputeDirtyRoles recomputes the roles of every dirty vertex,
+	// first recording the pre-batch role of each vertex new to the set:
+	// a vertex can flip twice in one batch, and only the net flip matters.
+	recomputeDirtyRoles := func() {
+		for _, v := range sc.dirtyRoles.list[len(sc.oldRoles):] {
+			sc.oldRoles = append(sc.oldRoles, l.role[v])
+		}
+		l.recomputeRoles(sc.dirtyRoles.list)
+	}
+	recomputeDirtyRoles()
 
-	// Decide which dense subgraphs need a structural rebuild. The paper's
-	// three shortcut-update cases (deletion, addition, weight update) map to:
-	//
-	//   - an internal flat edge changed (weight updates included) — the
-	//     subgraph's path sums move;
-	//   - a member's role flipped (a new external in-edge turns an internal
-	//     vertex into an entry whose shortcuts must be deduced; deleting the
-	//     last one reverses it) — the absorbing structure moves;
-	//   - a replication decision flipped (a host crossed the threshold R);
-	//   - a member vertex was removed.
-	rebuild := make(map[int32]struct{})
-	markRebuild := func(c int32) {
+	// Re-decide the dense subgraphs the batch may have reshaped: a member's
+	// role flipped (density counts boundary vertices), a replication
+	// decision flipped (a host crossed the threshold R), or a member vertex
+	// was removed.
+	redecide := make(map[int32]struct{})
+	markRedecide := func(c int32) {
 		if c != NoSubgraph {
-			if _, ok := l.subs[c]; ok {
-				rebuild[c] = struct{}{}
-			}
+			redecide[c] = struct{}{}
 		}
 	}
-	// Role flips among diff endpoints. roleCands is the current dirtyRoles
-	// prefix (capacity-clamped: the set keeps growing below).
-	nCands := len(sc.dirtyRoles.list)
-	roleCands := sc.dirtyRoles.list[:nCands:nCands]
-	sc.oldRoles = sc.oldRoles[:0]
-	for _, v := range roleCands {
-		sc.oldRoles = append(sc.oldRoles, l.role[v])
-	}
-	l.recomputeRoles(roleCands)
-	for i, v := range roleCands {
+	for i, v := range sc.dirtyRoles.list {
 		if l.role[v] != sc.oldRoles[i] {
-			markRebuild(subOfSafe(v))
+			markRedecide(subOfSafe(v))
 		}
 	}
-
-	// Replication-decision flips on changed cross edges.
 	r := l.opt.replication()
 	for _, e := range changedEdges {
 		u, v := e.From, e.To
@@ -191,7 +174,7 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 			}
 			desire := r > 0 && count >= r
 			if desire != l.hasProxy(l.entryProxy, sv, u) {
-				markRebuild(sv)
+				markRedecide(sv)
 			}
 		}
 		if su != NoSubgraph && su != sv {
@@ -205,21 +188,44 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 			}
 			desire := r > 0 && count >= r
 			if desire != l.hasProxy(l.exitProxy, su, v) {
-				markRebuild(su)
+				markRedecide(su)
 			}
 		}
 	}
 	for _, v := range applied.RemovedVertices {
-		markRebuild(subOfSafe(v))
+		markRedecide(subOfSafe(v))
 	}
 
-	// Rebuild phase: memberships are frozen; proxies are re-decided, the
-	// local frame and every shortcut of the subgraph are re-deduced.
-	rebuildSub := func(c int32) {
+	// A subgraph that keeps all its members, stays dense and wants exactly
+	// its live proxies is revised in place below. Any other is torn down:
+	// dissolved, or rebuilt with re-decided proxies (memberships stay
+	// frozen). Sorted order keeps fresh proxy IDs reproducible between runs.
+	redecideIDs := make([]int32, 0, len(redecide))
+	for c := range redecide {
+		redecideIDs = append(redecideIDs, c)
+	}
+	sort.Slice(redecideIDs, func(a, b int) bool { return redecideIDs[a] < redecideIDs[b] })
+	restructured := false
+	for _, c := range redecideIDs {
 		s := l.subs[c]
+		before := len(s.origMembers)
+		live := s.origMembers[:0]
+		for _, v := range s.origMembers {
+			if l.g.Alive(v) {
+				live = append(live, v)
+			}
+		}
+		dec := l.evaluateCommunity(c, live)
+		if len(live) == before && dec.dense && l.keepsProxies(s, dec) {
+			continue
+		}
+		restructured = true
+		// Members' rows, their external in-neighbours' rows and the rows
+		// of entry proxies replicating members elsewhere (exit proxies here
+		// take precedence over them) all depend on this subgraph's proxies.
 		for _, v := range s.Members {
 			sc.dirtyRoles.add(v)
-			markTouched(v)
+			touchSource(v)
 			if int(v) < l.g.Cap() && l.g.Alive(v) {
 				for _, ie := range l.g.In(v) {
 					if l.subOf[ie.To] != c {
@@ -235,153 +241,78 @@ func (l *Layph) layeredUpdate(applied *delta.Applied) *layeredDiff {
 			markTouched(p)
 		}
 		s.proxies = s.proxies[:0]
-
-		live := s.origMembers[:0]
-		for _, v := range s.origMembers {
-			if l.g.Alive(v) {
-				live = append(live, v)
-			}
-		}
 		s.origMembers = live
-		dec := l.evaluateCommunity(c, s.origMembers)
-		if !dec.dense || len(s.origMembers) < 2 {
-			for _, v := range s.origMembers {
+		if !dec.dense {
+			for _, v := range live {
 				l.subOf[v] = NoSubgraph
 				sc.dirtyRoles.add(v)
 				markTouched(v)
 			}
 			delete(l.subs, c)
-			return
+			continue
 		}
 		for _, h := range dec.entryHosts {
-			p := l.allocProxy(l.entryProxy, c, h)
+			p := l.allocProxy(true, c, h)
 			s.proxies = append(s.proxies, p)
 			sc.dirtyRoles.add(p)
 			markTouched(p)
 			markTouched(h)
 		}
 		for _, h := range dec.exitHosts {
-			p := l.allocProxy(l.exitProxy, c, h)
+			p := l.allocProxy(false, c, h)
 			s.proxies = append(s.proxies, p)
 			sc.dirtyRoles.add(p)
 			markTouched(p)
 		}
-		d.affectedSubs[c] = s
 		d.rebuiltSubs[c] = s
 	}
-	// Rebuilding reroutes rows through fresh proxies, and the rerouted rows
-	// can flip roles in dense subgraphs no check above marked. A subgraph
-	// whose frame no longer matches its members' roles must be rebuilt too,
-	// so rebuild, refresh and recompute roles until no new flip appears.
-	// Sorted order keeps fresh proxy IDs reproducible between runs.
-	for len(rebuild) > 0 {
-		rebuildIDs := make([]int32, 0, len(rebuild))
-		for c := range rebuild {
-			rebuildIDs = append(rebuildIDs, c)
-		}
-		sort.Slice(rebuildIDs, func(a, b int) bool { return rebuildIDs[a] < rebuildIDs[b] })
-		for _, c := range rebuildIDs {
-			rebuildSub(c)
-		}
+	// Teardowns reroute rows through fresh proxies, which can flip roles
+	// anywhere; one more refresh and role pass settles them. The flips it
+	// finds in surviving subgraphs are revised like any other.
+	if restructured {
 		for _, v := range sc.touched.list {
 			refresh(v)
 		}
-		dirty := sc.dirtyRoles.list
-		sc.oldRoles = sc.oldRoles[:0]
-		for _, v := range dirty {
-			sc.oldRoles = append(sc.oldRoles, l.role[v])
-		}
-		l.recomputeRoles(dirty)
-		clear(rebuild)
-		for i, v := range dirty {
-			if l.role[v] != sc.oldRoles[i] {
-				if c := subOfSafe(v); c != NoSubgraph && d.rebuiltSubs[c] == nil {
-					rebuild[c] = struct{}{}
-				}
-			}
-		}
+		recomputeDirtyRoles()
 	}
 	d.oldSrc, d.oldRows = sc.oldSeen.list, sc.oldRows
 
-	rebuildActs, rebuildTasks := l.buildSubgraphs(subgraphList(d.rebuiltSubs))
-	d.parallelSubs += rebuildTasks
-	d.shortcutActivations += rebuildActs
-
-	// Incremental shortcut maintenance (the paper's Section IV-B weight
-	// updates): subgraphs whose internal edges changed without any
-	// structural flip absorb the diffs into their memoized per-entry
-	// vectors instead of re-deducing from scratch.
-	intraAdd := make(map[int32][]flatEdge)
-	intraDel := make(map[int32][]flatEdge)
-	markIntra := func(m map[int32][]flatEdge, e flatEdge) {
-		if c := subOfSafe(e.from); c != NoSubgraph && subOfSafe(e.to) == c {
-			if _, full := d.rebuiltSubs[c]; !full {
-				m[c] = append(m[c], e)
+	// Every surviving subgraph whose frame moved — an intra-subgraph flat
+	// edge changed, or a member's role differs from its pre-batch one — is
+	// revised in place; rebuilt ones are deduced from scratch. Both go
+	// through the one per-subgraph fan-out.
+	revs := make(map[int32]*revision)
+	revise := func(c int32, v graph.VertexID) *revision {
+		if c == NoSubgraph || d.rebuiltSubs[c] != nil {
+			return nil
+		}
+		rv := revs[c]
+		if rv == nil {
+			rv = &revision{}
+			revs[c] = rv
+			d.affectedSubs[c] = l.subs[c]
+		}
+		rv.srcs = append(rv.srcs, v)
+		return rv
+	}
+	for i, v := range sc.dirtyRoles.list {
+		if l.role[v] != sc.oldRoles[i] {
+			if rv := revise(subOfSafe(v), v); rv != nil {
+				rv.flipped = true
 			}
 		}
 	}
-	for _, e := range d.added {
-		markIntra(intraAdd, e)
-	}
-	for _, e := range d.removed {
-		markIntra(intraDel, e)
-	}
-	for c := range intraAdd {
-		if _, ok := intraDel[c]; !ok {
-			intraDel[c] = nil
+	for _, diffs := range [][]flatEdge{d.added, d.removed} {
+		for _, e := range diffs {
+			if c := subOfSafe(e.from); c == subOfSafe(e.to) {
+				revise(c, e.from)
+			}
 		}
 	}
-	// Conservative guard: batches that delete vertices fall back to full
-	// re-deduction for the intra-changed subgraphs. Vertex deletions ripple
-	// through proxy routing in ways the row-level diff above does not fully
-	// capture; deletions are rare in the paper's workloads (Figure 5e), so
-	// correctness is bought here at negligible average cost.
-	//
-	// Each subgraph's shortcut maintenance touches only its own frame and
-	// memoized vectors (the flat adjacency is frozen by now), so the
-	// per-subgraph work fans out over the worker pool.
-	forceFull := len(applied.RemovedVertices) > 0
-	intraSubs := make([]*Subgraph, 0, len(intraDel))
-	for c := range intraDel {
-		intraSubs = append(intraSubs, l.subs[c])
+	for c, s := range d.rebuiltSubs {
+		d.affectedSubs[c] = s
 	}
-	sortSubgraphs(intraSubs)
-	maintain := func(s *Subgraph, parallelEntries bool) int64 {
-		if forceFull {
-			l.classifyMembers(s)
-			l.buildLocalFrame(s)
-			return l.deduceShortcutsPar(s, parallelEntries)
-		}
-		return l.updateShortcutsIncremental(s, intraAdd[s.ID], intraDel[s.ID])
-	}
-	if len(intraSubs) == 1 {
-		// Single subgraph: fan out inside it (per-entry deduction) rather
-		// than spending the pool on a one-task outer level.
-		d.parallelSubs++
-		d.shortcutActivations += maintain(intraSubs[0], true)
-	} else if len(intraSubs) > 1 {
-		chunks := l.subgraphChunks(intraSubs)
-		d.parallelSubs += int64(len(chunks))
-		intraActs := make([]int64, len(chunks))
-		grp := l.pool.Group()
-		for i, ch := range chunks {
-			i, ch := i, ch
-			grp.Go(func() {
-				var a int64
-				for _, s := range ch {
-					a += maintain(s, false)
-				}
-				intraActs[i] = a
-			})
-		}
-		grp.Wait()
-		for _, a := range intraActs {
-			d.shortcutActivations += a
-		}
-	}
-	for _, s := range intraSubs {
-		d.affectedSubs[s.ID] = s
-	}
+	d.shortcutActivations, d.parallelSubs = l.buildSubgraphs(subgraphList(d.affectedSubs), revs)
 
 	sc.upDirty.reset(l.flatN())
 	for _, v := range sc.dirtyRoles.list {
@@ -519,6 +450,11 @@ func (l *Layph) remapProxies(newCap int) {
 	}
 	for k, p := range l.exitProxy {
 		l.exitProxy[k] = mapID(p)
+	}
+	for _, ps := range l.entryProxiesOf {
+		for i, p := range ps {
+			ps[i] = mapID(p)
+		}
 	}
 	for _, s := range l.subs {
 		for i, p := range s.proxies {

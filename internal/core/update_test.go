@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,13 @@ func TestRoleFlipInternalToEntry(t *testing.T) {
 	s := l.subs[l.subOf[victim]]
 	if len(l.ShortcutsToInternal(s, victim))+len(l.ShortcutsToBoundary(s, victim)) == 0 {
 		t.Fatal("new entry has no shortcuts")
+	}
+	// The flip is revised in place: one deduction for the new entry plus
+	// revisions of the others, cheaper than re-deducing the subgraph (its
+	// cost measured on a fresh copy).
+	fresh := &Subgraph{ID: s.ID, origMembers: s.origMembers, proxies: s.proxies}
+	if got, rebuild := l.LastActs["layered-update"], l.buildSubgraph(fresh, false); got >= rebuild {
+		t.Fatalf("role flip cost %d layered-update activations, re-deducing the subgraph costs %d", got, rebuild)
 	}
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -138,42 +146,34 @@ func TestProxyDecisionFlip(t *testing.T) {
 }
 
 // Property: incremental shortcut maintenance must agree with full
-// re-deduction after arbitrary intra-subgraph weight churn.
+// re-deduction after arbitrary churn — intra-subgraph weight changes,
+// cross-subgraph edges that flip roles (new and retired entries, exit-only
+// flips), and vertex additions and deletions — in the frame, the member and
+// shortcut lists, and the memoized vectors and parents.
 func TestIncrementalShortcutsMatchFullDeduction(t *testing.T) {
 	f := func(seed int64) bool {
-		g, _ := gen.CommunityGraph(gen.CommunityConfig{
-			Vertices: 240, MeanCommunity: 20, IntraDegree: 6, InterDegree: 0.2,
-			Weighted: true, Seed: seed,
-		})
-		for _, mk := range []func() algo.Algorithm{
-			func() algo.Algorithm { return algo.NewSSSP(0) },
-			func() algo.Algorithm { return algo.NewPageRank(0.85, 1e-10) },
-		} {
-			l := New(g.Clone(), mk(), Options{})
-			gLocal := l.Graph()
-			genr := delta.NewGenerator(seed + 5)
-			for b := 0; b < 3; b++ {
-				applied := delta.Apply(gLocal, genr.EdgeBatch(gLocal, 30, true))
-				l.Update(applied)
-			}
-			for _, s := range l.subs {
-				fresh := &Subgraph{ID: s.ID, origMembers: s.origMembers, proxies: s.proxies,
-					Members: s.Members, Entries: s.Entries, Exits: s.Exits, Internal: s.Internal}
-				l.buildLocalFrame(fresh)
-				l.deduceShortcuts(fresh)
-				for _, u := range s.Entries {
-					cu := l.localIdx[u]
-					mem, ref := s.scVec[cu], fresh.scVec[cu]
-					for i := range mem {
-						mi, ri := mem[i], ref[i]
-						if math.IsInf(mi, 1) != math.IsInf(ri, 1) {
-							t.Logf("seed %d sub %d entry %d idx %d: inf mismatch %v vs %v", seed, s.ID, u, i, mi, ri)
-							return false
-						}
-						if !math.IsInf(mi, 1) && math.Abs(mi-ri) > 1e-6 {
-							t.Logf("seed %d sub %d entry %d idx %d: %v vs %v", seed, s.ID, u, i, mi, ri)
-							return false
-						}
+		for _, inter := range []float64{0.2, 1} {
+			g, _ := gen.CommunityGraph(gen.CommunityConfig{
+				Vertices: 240, MeanCommunity: 20, IntraDegree: 6, InterDegree: inter,
+				Weighted: true, Seed: seed,
+			})
+			for _, mk := range []func() algo.Algorithm{
+				func() algo.Algorithm { return algo.NewSSSP(0) },
+				func() algo.Algorithm { return algo.NewPageRank(0.85, 1e-10) },
+				func() algo.Algorithm { return algo.NewCC() },
+			} {
+				l := New(g.Clone(), mk(), Options{})
+				gLocal := l.Graph()
+				genr := delta.NewGenerator(seed + 5)
+				for b := 0; b < 4; b++ {
+					batch := genr.EdgeBatch(gLocal, 30, true)
+					if b%2 == 1 {
+						batch = append(batch, genr.VertexBatch(gLocal, 2, 2, 3, true)...)
+					}
+					l.Update(delta.Apply(gLocal, batch))
+					if err := checkShortcutsFresh(l); err != nil {
+						t.Logf("seed %d inter %v %s batch %d: %v", seed, inter, l.a.Name(), b, err)
+						return false
 					}
 				}
 			}
@@ -182,6 +182,37 @@ func TestIncrementalShortcutsMatchFullDeduction(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLayeredUpdateActivationCeiling pins the deterministic cost of
+// shortcut maintenance (layered-update activations, Threads 1) over a fixed
+// replay whose batches flip roles in many subgraphs. Each ceiling is the
+// in-place revision count ×1.1; the comments give what rebuilding every
+// flipped subgraph from scratch costs on the same replay.
+func TestLayeredUpdateActivationCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		mk      func() algo.Algorithm
+		ceiling int64
+	}{
+		{func() algo.Algorithm { return algo.NewSSSP(0) }, 115_660},                  // 105,146 ×1.1; rebuilding: 419,833
+		{func() algo.Algorithm { return algo.NewPageRank(0.85, 1e-10) }, 11_616_027}, // 10,560,025 ×1.1; rebuilding: 11,914,175
+	} {
+		g, _ := gen.CommunityGraph(gen.CommunityConfig{
+			Vertices: 2000, MeanCommunity: 40, IntraDegree: 8, InterDegree: 0.3,
+			Weighted: true, Seed: 7,
+		})
+		l := New(g, tc.mk(), Options{Workers: 1})
+		genr := delta.NewGenerator(7)
+		var acts int64
+		for b := 0; b < 4; b++ {
+			l.Update(delta.Apply(g, genr.EdgeBatch(g, 200, true)))
+			acts += l.LastActs["layered-update"]
+		}
+		t.Logf("%s: %d layered-update activations", l.a.Name(), acts)
+		if acts > tc.ceiling {
+			t.Errorf("%s: %d layered-update activations, ceiling %d", l.a.Name(), acts, tc.ceiling)
+		}
 	}
 }
 
@@ -243,3 +274,118 @@ func TestDriftChurnHoldsInvariantsAndGauges(t *testing.T) {
 }
 
 func commCfg(maxSize int) (c community.Config) { c.MaxSize = maxSize; return c }
+
+// checkShortcutsFresh re-deduces every subgraph from scratch on a copy and
+// compares it with the maintained one: member lists, frame rows, every
+// entry's shortcut vector and lists, each value within an absolute 1e-6.
+// It also checks that each maintained compact parent is a valid witness,
+// NoParent exactly when the value is the semiring zero, and that following
+// parents reaches the entry within the frame size, so parent cycles (which
+// ⊥-cancellation cannot cut) fail.
+func checkShortcutsFresh(l *Layph) error {
+	zero := l.sr.Zero()
+	closeTo := func(a, b float64) bool {
+		if math.IsInf(a, 0) || math.IsInf(b, 0) {
+			return a == b
+		}
+		return math.Abs(a-b) <= 1e-6
+	}
+	sameList := func(a, b []graph.VertexID) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	// sameEdges compares two edge lists as target→weight maps, a missing
+	// target counting as the semiring zero.
+	sameEdges := func(a, b []engine.WEdge) bool {
+		m := make(map[graph.VertexID][2]float64)
+		for _, e := range a {
+			m[e.To] = [2]float64{e.W, zero}
+		}
+		for _, e := range b {
+			w, ok := m[e.To]
+			if !ok {
+				w[0] = zero
+			}
+			w[1] = e.W
+			m[e.To] = w
+		}
+		for _, w := range m {
+			if !closeTo(w[0], w[1]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, s := range subgraphList(l.subs) {
+		fresh := &Subgraph{ID: s.ID, origMembers: s.origMembers, proxies: s.proxies}
+		l.buildSubgraph(fresh, false)
+		if !sameList(s.Members, fresh.Members) || !sameList(s.Entries, fresh.Entries) ||
+			!sameList(s.Exits, fresh.Exits) || !sameList(s.Internal, fresh.Internal) {
+			return fmt.Errorf("sub %d: member lists differ from a fresh build", s.ID)
+		}
+		for ci := range s.Local.ids {
+			if !sameEdges(s.Local.out[ci], fresh.Local.out[ci]) ||
+				!sameEdges(s.Local.absorbOut[ci], fresh.Local.absorbOut[ci]) ||
+				!sameEdges(s.Local.absorbIn[ci], fresh.Local.absorbIn[ci]) {
+				return fmt.Errorf("sub %d: frame row %d differs from a fresh build", s.ID, ci)
+			}
+		}
+		for ci := range s.scVec {
+			if (s.scVec[ci] != nil) != (fresh.scVec[ci] != nil) {
+				return fmt.Errorf("sub %d: compact %d memoized %v, fresh %v", s.ID, ci, s.scVec[ci] != nil, fresh.scVec[ci] != nil)
+			}
+		}
+		for _, u := range s.Entries {
+			cu := l.localIdx[u]
+			mem, ref := s.scVec[cu], fresh.scVec[cu]
+			for i := range mem {
+				if !closeTo(mem[i], ref[i]) {
+					return fmt.Errorf("sub %d entry %d idx %d: %v vs %v", s.ID, u, i, mem[i], ref[i])
+				}
+			}
+			if !sameEdges(s.scToB[cu], fresh.scToB[cu]) || !sameEdges(s.scToI[cu], fresh.scToI[cu]) {
+				return fmt.Errorf("sub %d entry %d: shortcut lists differ from a fresh build", s.ID, u)
+			}
+			if s.scParent == nil {
+				continue
+			}
+			par := s.scParent[cu]
+			for ci, p := range par {
+				c := graph.VertexID(ci)
+				if (mem[ci] == zero) != (p == engine.NoParent) {
+					return fmt.Errorf("sub %d entry %d idx %d: value %v with parent %v", s.ID, u, ci, mem[ci], p)
+				}
+				if p == engine.NoParent {
+					continue
+				}
+				eps := 1e-9 * (1 + math.Abs(mem[ci]))
+				valid := false
+				if p == graph.VertexID(cu) {
+					for _, e := range s.Local.out[cu] {
+						valid = valid || (e.To == c && math.Abs(l.sr.Times(l.sr.One(), e.W)-mem[ci]) <= eps)
+					}
+				}
+				for _, e := range s.Local.absorbOut[p] {
+					valid = valid || (e.To == c && math.Abs(l.sr.Times(mem[p], e.W)-mem[ci]) <= eps)
+				}
+				if !valid {
+					return fmt.Errorf("sub %d entry %d idx %d: parent %d is no witness", s.ID, u, ci, p)
+				}
+				for steps := 0; p != graph.VertexID(cu) && p != engine.NoParent; steps++ {
+					if steps == len(par) {
+						return fmt.Errorf("sub %d entry %d idx %d: parent chain never reaches the entry", s.ID, u, ci)
+					}
+					p = par[p]
+				}
+			}
+		}
+	}
+	return nil
+}
